@@ -1,19 +1,22 @@
-"""Raw-data ingestion: firm records, sales aggregation, macro indicators.
+"""Raw-data ingestion: firm table, sales aggregation, macro indicators.
 
 ``firms.csv`` rows are firm-level observations (``firm_id,region_code,
 sector_code,annual_sales,employees``).  Rows missing sales or employees
 are rejected — the source data keeps only active firms for which both
 are reported — while zero-sales rows are accepted (they contribute
-nothing) and counted.  Aggregation sums sales into a region x sector
-matrix in a fixed sorted order so the result is independent of input
-row order.
+nothing) and counted.  Accepted rows are held as columns in a
+``FirmTable``: catalog ids and sales in arrays, firm ids and employee
+counts as Python objects.  Aggregation sums sales into a region x sector
+matrix, adding each cell's contributions in ascending-sales order, so the
+result is bit-identical under any permutation of the input rows.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Tuple
 
 import numpy as np
 
@@ -33,6 +36,33 @@ class FirmRecord:
     employees: int
 
 
+@dataclass(frozen=True, eq=False)
+class FirmTable:
+    """Accepted firm rows as columns; ``table[i]`` is row i as a FirmRecord.
+
+    Region and sector ids index the catalogs the table was parsed with
+    (excluded sectors included).  Employee counts stay Python ints, so
+    values beyond int64 are kept exactly.
+    """
+
+    firm_ids: List[str]
+    region_ids: np.ndarray       # (n,) intp
+    sector_ids: np.ndarray       # (n,) intp
+    sales: np.ndarray            # (n,) float64, finite and >= 0
+    employees: List[int]
+    region_codes: Tuple[str, ...]
+    sector_codes: Tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.firm_ids)
+
+    def __getitem__(self, i: int) -> FirmRecord:
+        return FirmRecord(self.firm_ids[i],
+                          self.region_codes[self.region_ids[i]],
+                          self.sector_codes[self.sector_ids[i]],
+                          float(self.sales[i]), self.employees[i])
+
+
 @dataclass(frozen=True)
 class Rejection:
     line: int
@@ -41,7 +71,7 @@ class Rejection:
 
 @dataclass
 class FirmParseResult:
-    records: List[FirmRecord]
+    records: FirmTable
     rejections: List[Rejection]
     zero_sales_count: int = 0
 
@@ -95,8 +125,8 @@ def parse_firms(source: PathOrStream, regions: RegionCatalog,
                 sectors: SectorCatalog) -> FirmParseResult:
     """Parse firm rows, validating codes against the catalogs.
 
-    Returns all well-formed records plus a rejection report of
-    (line number, reason) for every row that was dropped.
+    Returns all well-formed rows as a ``FirmTable`` plus a rejection
+    report of (line number, reason) for every row that was dropped.
     """
     stream = _open_text(source)
     close = stream is not source
@@ -110,78 +140,109 @@ def parse_firms(source: PathOrStream, regions: RegionCatalog,
                 "firms table: expected header "
                 f"{','.join(FIRMS_HEADER)}, got {','.join(header)}"
             )
-        records: List[FirmRecord] = []
+        region_id = {r.code: r.region_id for r in regions}
+        sector_id = {s.code: s.sector_id for s in sectors}
+        isfinite = math.isfinite
+        firm_ids: List[str] = []
+        rids: List[int] = []
+        sids: List[int] = []
+        sales_col: List[float] = []
+        employees_col: List[int] = []
         rejections: List[Rejection] = []
+        reject = rejections.append
         zero_sales = 0
         for lineno, line in enumerate(stream, start=2):
-            if not line.strip():
+            if line.isspace():
                 continue
-            fields = _split_csv_line(line)
+            if '"' in line:
+                fields = next(csv.reader([line]))
+            else:
+                fields = line.rstrip("\r\n").split(",")
             if len(fields) != 5:
-                rejections.append(Rejection(lineno, "malformed row"))
+                reject(Rejection(lineno, "malformed row"))
                 continue
-            firm_id, rcode, scode, sales_s, emp_s = (f.strip() for f in fields)
-            if rcode not in regions:
-                rejections.append(Rejection(lineno, f"unknown region code {rcode!r}"))
+            firm_id, rcode, scode, sales_s, emp_s = fields
+            rcode = rcode.strip()
+            rid = region_id.get(rcode)
+            if rid is None:
+                reject(Rejection(lineno, f"unknown region code {rcode!r}"))
                 continue
-            if scode not in sectors:
-                rejections.append(Rejection(lineno, f"unknown sector code {scode!r}"))
+            scode = scode.strip()
+            sid = sector_id.get(scode)
+            if sid is None:
+                reject(Rejection(lineno, f"unknown sector code {scode!r}"))
                 continue
+            sales_s = sales_s.strip()
             if not sales_s:
-                rejections.append(Rejection(lineno, "missing sales"))
+                reject(Rejection(lineno, "missing sales"))
                 continue
+            emp_s = emp_s.strip()
             if not emp_s:
-                rejections.append(Rejection(lineno, "missing employees"))
+                reject(Rejection(lineno, "missing employees"))
                 continue
             try:
                 sales = float(sales_s)
             except ValueError:
-                rejections.append(Rejection(lineno, "invalid sales"))
+                reject(Rejection(lineno, "invalid sales"))
                 continue
-            if not np.isfinite(sales) or sales < 0:
-                rejections.append(Rejection(lineno, "negative sales"))
+            if not isfinite(sales):
+                reject(Rejection(lineno, "invalid sales"))
+                continue
+            if sales < 0:
+                reject(Rejection(lineno, "negative sales"))
                 continue
             try:
                 employees = int(emp_s)
             except ValueError:
-                rejections.append(Rejection(lineno, "invalid employees"))
+                reject(Rejection(lineno, "invalid employees"))
                 continue
             if employees < 0:
-                rejections.append(Rejection(lineno, "negative employees"))
+                reject(Rejection(lineno, "negative employees"))
                 continue
             if sales == 0.0:
                 zero_sales += 1
-            records.append(FirmRecord(firm_id, rcode, scode, sales, employees))
-        return FirmParseResult(records, rejections, zero_sales)
+            firm_ids.append(firm_id.strip())
+            rids.append(rid)
+            sids.append(sid)
+            sales_col.append(sales)
+            employees_col.append(employees)
+        table = FirmTable(firm_ids, np.array(rids, dtype=np.intp),
+                          np.array(sids, dtype=np.intp),
+                          np.array(sales_col, dtype=np.float64),
+                          employees_col, regions.codes, sectors.codes)
+        return FirmParseResult(table, rejections, zero_sales)
     finally:
         if close:
             stream.close()
 
 
-def aggregate_sales(records: Sequence[FirmRecord], regions: RegionCatalog,
+def aggregate_sales(records: FirmTable, regions: RegionCatalog,
                     sectors: SectorCatalog) -> SalesMatrix:
-    """Sum sales into w[p][s]; excluded-sector records contribute nothing.
+    """Sum sales into w[p][s]; excluded-sector rows contribute nothing.
 
-    Contributions are added in sorted (region, sector, sales, firm_id)
-    order, so any permutation of the input records yields a bit-identical
-    matrix.
+    ``np.bincount`` adds its weights one by one in input order, so
+    feeding it the rows in ascending-sales order adds each cell's
+    contributions smallest first.  That fixes every sum whatever the
+    input row order: rows with equal sales are interchangeable.
     """
-    if not records:
+    if len(records) == 0:
         raise InputDataError("no data: cannot aggregate an empty record list")
+    if (records.region_codes != regions.codes
+            or records.sector_codes != sectors.codes):
+        raise InputDataError("firm table was parsed with other catalogs")
     kept = sectors.kept()
-    col_of = {s.code: s.sector_id for s in kept}
-    keyed = []
-    for rec in records:
-        sid = col_of.get(rec.sector_code)
-        if sid is None:          # excluded sector
-            continue
-        keyed.append((regions[rec.region_code].region_id, sid,
-                      rec.annual_sales, rec.firm_id))
-    keyed.sort()
-    values = np.zeros((len(regions), len(kept)))
-    for rid, sid, sales, _ in keyed:
-        values[rid, sid] += sales
-    return SalesMatrix(values, regions, kept)
+    col_of = np.full(len(sectors), -1, dtype=np.intp)
+    col_of[[s.sector_id for s in sectors if not s.excluded]] = np.arange(len(kept))
+    col = col_of[records.sector_ids]
+    keep = col >= 0
+    sales = records.sales[keep]
+    cell = records.region_ids[keep] * len(kept) + col[keep]
+    order = np.argsort(sales)
+    size = len(regions) * len(kept)
+    # bincount of no rows gives int zeros; every other result is float64
+    values = np.bincount(cell[order], weights=sales[order],
+                         minlength=size).astype(np.float64, copy=False)
+    return SalesMatrix(values.reshape(len(regions), len(kept)), regions, kept)
 
 
 def parse_macro(source: PathOrStream, regions: RegionCatalog) -> MacroIndicators:

@@ -5,13 +5,16 @@ the libraries) used by the package itself: eigenpairs come from a
 hand-rolled cyclic Jacobi rotation solver instead of LAPACK, spanning
 trees from exhaustive Prüfer-sequence enumeration, p-values from
 adaptive quadrature of the Student-t density at 40 significant digits,
-line fits from the textbook normal-equation formulas, and the fitness
-map from an extended-precision mpmath iteration.
+line fits from the textbook normal-equation formulas, the fitness
+map from an extended-precision mpmath iteration, and firm-table ingest
+from one record object per row summed in a sorted tuple order.
 """
 
 from __future__ import annotations
 
+import csv
 import heapq
+import io
 import itertools
 import math
 from functools import lru_cache
@@ -222,3 +225,85 @@ def fitness_reference(m: np.ndarray, tol: str = "1e-30",
             if delta < eps:
                 break
         return [float(v) for v in f], [float(v) for v in q], its
+
+
+# -------------------------------------------------------------- ingest
+
+def parse_firms_reference(text: str, region_codes: Sequence[str],
+                          sector_codes: Sequence[str]):
+    """Firm-table parse with one ``FirmRecord`` per accepted row.
+
+    Applies the checks of ``ecx.ingest.parse_firms`` in the same order
+    and returns (records, [(line, reason), ...], zero-sales count).  The
+    header is assumed valid and is skipped.
+    """
+    from ecx import FirmRecord
+
+    regions, sectors = set(region_codes), set(sector_codes)
+    records, rejections, zero_sales = [], [], 0
+    lines = io.StringIO(text, newline="").readlines()
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        if '"' in line:
+            fields = next(csv.reader([line]))
+        else:
+            fields = line.rstrip("\r\n").split(",")
+        if len(fields) != 5:
+            rejections.append((lineno, "malformed row"))
+            continue
+        firm_id, rcode, scode, sales_s, emp_s = (f.strip() for f in fields)
+        if rcode not in regions:
+            rejections.append((lineno, f"unknown region code {rcode!r}"))
+            continue
+        if scode not in sectors:
+            rejections.append((lineno, f"unknown sector code {scode!r}"))
+            continue
+        if not sales_s:
+            rejections.append((lineno, "missing sales"))
+            continue
+        if not emp_s:
+            rejections.append((lineno, "missing employees"))
+            continue
+        try:
+            sales = float(sales_s)
+        except ValueError:
+            rejections.append((lineno, "invalid sales"))
+            continue
+        if not np.isfinite(sales):
+            rejections.append((lineno, "invalid sales"))
+            continue
+        if sales < 0:
+            rejections.append((lineno, "negative sales"))
+            continue
+        try:
+            employees = int(emp_s)
+        except ValueError:
+            rejections.append((lineno, "invalid employees"))
+            continue
+        if employees < 0:
+            rejections.append((lineno, "negative employees"))
+            continue
+        if sales == 0.0:
+            zero_sales += 1
+        records.append(FirmRecord(firm_id, rcode, scode, sales, employees))
+    return records, rejections, zero_sales
+
+
+def aggregate_sales_reference(records, region_codes: Sequence[str],
+                              kept_codes: Sequence[str]) -> np.ndarray:
+    """Region x kept-sector sums of ``parse_firms_reference`` records.
+
+    Records of sectors outside ``kept_codes`` are dropped.  Each cell is a
+    Python float sum taken in sorted (region, sector, sales, firm_id)
+    order, so it overflows to inf instead of raising.
+    """
+    rid = {c: i for i, c in enumerate(region_codes)}
+    col = {c: j for j, c in enumerate(kept_codes)}
+    keyed = sorted((rid[rec.region_code], col[rec.sector_code],
+                    rec.annual_sales, rec.firm_id)
+                   for rec in records if rec.sector_code in col)
+    cells = [[0.0] * len(kept_codes) for _ in region_codes]
+    for i, j, sales, _ in keyed:
+        cells[i][j] += sales
+    return np.array(cells, dtype=np.float64)

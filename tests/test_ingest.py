@@ -4,13 +4,14 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_region_catalog, make_sector_catalog
 from ecx import (FirmRecord, InputDataError, SectorCatalog, aggregate_sales,
                  parse_firms, parse_macro)
 from ecx.matrixio import read_matrix_csv, write_matrix_csv
+from oracles import aggregate_sales_reference, parse_firms_reference
 
 HEADER = "firm_id,region_code,sector_code,annual_sales,employees\n"
 
@@ -50,10 +51,13 @@ def test_empty_file():
     ("F1,R01,S01,10,-2", "negative employees"),
     ("F1,R01,S01,10", "malformed row"),
     ("F1,R01,S01,10,1,extra", "malformed row"),
+    ("F1,R01,S01,nan,1", "invalid sales"),
+    ("F1,R01,S01,inf,1", "invalid sales"),
+    ("F1,R01,S01,-inf,1", "invalid sales"),
 ])
 def test_rejection_reasons(row, reason):
     res = _parse(row + "\n")
-    assert res.records == []
+    assert len(res.records) == 0
     assert len(res.rejections) == 1
     assert res.rejections[0].line == 2
     assert res.rejections[0].reason == reason
@@ -96,8 +100,23 @@ def test_excluded_sector_dropped_at_aggregation():
 
 
 def test_aggregate_requires_records():
+    res = _parse("", p=2, s=2)
     with pytest.raises(InputDataError, match="no data"):
-        aggregate_sales([], make_region_catalog(2), make_sector_catalog(2))
+        aggregate_sales(res.records, make_region_catalog(2),
+                        make_sector_catalog(2))
+
+
+def test_aggregate_refuses_other_catalogs():
+    res = _parse("F1,R01,S01,10,1\n")
+    with pytest.raises(InputDataError, match="other catalogs"):
+        aggregate_sales(res.records, make_region_catalog(2),
+                        make_sector_catalog(3))
+
+
+def _aggregate(lines, regions, sectors):
+    res = parse_firms(io.StringIO(HEADER + "".join(lines)), regions, sectors)
+    assert len(res.records) == len(lines)
+    return aggregate_sales(res.records, regions, sectors)
 
 
 @given(st.randoms(use_true_random=False))
@@ -105,15 +124,12 @@ def test_aggregate_requires_records():
 def test_aggregation_order_independent(rnd):
     regions = make_region_catalog(4)
     sectors = make_sector_catalog(3)
-    records = [
-        FirmRecord(f"F{k}", f"R{1 + k % 4:02d}", f"S{1 + k % 3:02d}",
-                   0.1 * (k + 1) / 7.0, k)
-        for k in range(30)
-    ]
-    base = aggregate_sales(records, regions, sectors)
-    shuffled = list(records)
+    lines = [f"F{k},R{1 + k % 4:02d},S{1 + k % 3:02d},{0.1 * (k + 1) / 7.0!r},{k}\n"
+             for k in range(30)]
+    base = _aggregate(lines, regions, sectors)
+    shuffled = list(lines)
     rnd.shuffle(shuffled)
-    again = aggregate_sales(shuffled, regions, sectors)
+    again = _aggregate(shuffled, regions, sectors)
     assert base.values.tobytes() == again.values.tobytes()
 
 
@@ -121,18 +137,17 @@ def test_matrix_total_matches_accepted_sales():
     # integer sales make the equality exact under any summation order
     regions = make_region_catalog(3)
     sectors = make_sector_catalog(3)
-    records = [FirmRecord(f"F{k}", f"R{1 + k % 3:02d}", "S01", float(k), 1)
-               for k in range(20)]
-    sales = aggregate_sales(records, regions, sectors)
+    lines = [f"F{k},R{1 + k % 3:02d},S01,{float(k)!r},1\n" for k in range(20)]
+    sales = _aggregate(lines, regions, sectors)
     assert sales.values.sum() == sum(range(20))
 
 
 def test_reparse_roundtrip_bit_exact(tmp_path):
     regions = make_region_catalog(3)
     sectors = make_sector_catalog(3)
-    records = [FirmRecord(f"F{k}", f"R{1 + k % 3:02d}", f"S{1 + k % 3:02d}",
-                          (k + 1) * 0.1, 1) for k in range(17)]
-    sales = aggregate_sales(records, regions, sectors)
+    lines = [f"F{k},R{1 + k % 3:02d},S{1 + k % 3:02d},{(k + 1) * 0.1!r},1\n"
+             for k in range(17)]
+    sales = _aggregate(lines, regions, sectors)
     path = tmp_path / "sales.csv"
     write_matrix_csv(path, sales.values, sales.regions.codes,
                      sales.sectors.codes, corner="region_code")
@@ -140,6 +155,110 @@ def test_reparse_roundtrip_bit_exact(tmp_path):
     assert tuple(rcodes) == sales.regions.codes
     assert tuple(scodes) == sales.sectors.codes
     assert values.tobytes() == sales.values.tobytes()
+
+
+# Messy firm tables for the comparison with the reference ingest: rows
+# are mostly well formed so that cells collect several sales of mixed
+# magnitude, and the summation order shows in the bits of the sums.
+_MESSY_SECTORS = SectorCatalog.from_rows([
+    ("S01", "Kept", "Goods", 0),
+    ("S02", "Dropped", "Goods", 1),
+    ("S03", "Kept too", "Services", 0),
+])
+_SALES = ["0", "-0", "0.0", "1", "3", "1e16", "1e-300", "5e-324", "1e308",
+          "1.7976931348623157e308", "1_000", "2.5e-17"]
+# sums that mix these magnitudes round differently in different orders
+_SUMMANDS = ["1", "1", "1e16", "0.1", "0.2", "0.3"]
+_BAD_SALES = ["", " ", "nan", "inf", "-inf", "ten", "-5", "1__0"]
+_EMPLOYEES = ["0", "7", " 12 ", "1_000", str(2 ** 63 + 1), str(10 ** 30)]
+_BAD_EMPLOYEES = ["", "-2", "two", "1.5"]
+
+# each field is drawn with its (quoted, padding) style; padding outside
+# the quotes leaves the quotes in the field, so only messy rows get it
+_STYLE = st.sampled_from([(False, 0)] * 4 + [(True, 0), (False, 1), (False, 2)])
+_MESSY_STYLE = st.sampled_from([(False, 0), (True, 0), (False, 1), (True, 1)])
+
+
+def _fields(style, *strategies):
+    return st.tuples(*(st.tuples(s, style) for s in strategies))
+
+
+_FIRM_ID = st.text(alphabet='F1a ,"', max_size=4)
+_GOOD_ROW = _fields(
+    _STYLE, _FIRM_ID, st.sampled_from(["R01", "R01", "R02"]),
+    st.sampled_from(["S01", "S01", "S02", "S03"]),
+    st.one_of(st.sampled_from(_SUMMANDS), st.sampled_from(_SUMMANDS),
+              st.sampled_from(_SALES),
+              st.floats(min_value=0, max_value=1e300).map(repr)),
+    st.sampled_from(_EMPLOYEES))
+_MESSY_ROW = _fields(
+    _MESSY_STYLE, _FIRM_ID, st.sampled_from(["R03", "R99", "", "r01"]),
+    st.sampled_from(["S03", "S99", ""]),
+    st.one_of(st.sampled_from(_SALES + _BAD_SALES), st.floats().map(repr)),
+    st.sampled_from(_EMPLOYEES + _BAD_EMPLOYEES))
+_KIND = st.sampled_from(["row"] * 8 + ["messy", "blank", "count"])
+_BLANK = st.sampled_from(["", "   ", "\t"])
+_ENDING = st.sampled_from(["\n", "\r\n"])
+
+
+def _csv_field(text, style):
+    quoted, pad = style
+    if quoted or "," in text or '"' in text:
+        text = '"' + text.replace('"', '""') + '"'
+    return " " * pad + text + " " * pad
+
+
+@st.composite
+def _messy_firm_table(draw):
+    """CSV text with quoted and padded fields, blank lines, mixed line
+    endings, unknown codes, an excluded sector, wrong field counts, and
+    sales and employee counts that are valid, invalid or extreme."""
+    lines = [HEADER]
+    for _ in range(draw(st.integers(0, 60))):
+        kind = draw(_KIND)
+        if kind == "blank":
+            line = draw(_BLANK)
+        else:
+            fields = draw(_GOOD_ROW if kind == "row" else _MESSY_ROW)
+            if kind == "count":
+                fields = (fields[:draw(st.integers(0, 4))]
+                          or fields + (("extra", (False, 0)),))
+            line = ",".join(_csv_field(*f) for f in fields)
+        lines.append(line + draw(_ENDING))
+    return "".join(lines)
+
+
+def _row_bits(rec):
+    return (rec.firm_id, rec.region_code, rec.sector_code,
+            rec.annual_sales.hex(), type(rec.employees), rec.employees)
+
+
+@given(_messy_firm_table())
+# in file order 1e16 + 1 + 1 rounds to 1e16, in sales order to 1e16 + 2
+@example(HEADER + "F1,R01,S01,1e16,1\r\nF2,R01,S01,1,1\nF3,R01,S01,1,1\n")
+@settings(max_examples=100, deadline=None)
+def test_ingest_matches_reference(text):
+    regions = make_region_catalog(3)
+    sectors = _MESSY_SECTORS
+    res = parse_firms(io.StringIO(text, newline=""), regions, sectors)
+    records, rejections, zero_sales = parse_firms_reference(
+        text, regions.codes, sectors.codes)
+    assert [(r.line, r.reason) for r in res.rejections] == rejections
+    assert res.zero_sales_count == zero_sales
+    assert len(res.records) == len(records)
+    assert ([_row_bits(res.records[i]) for i in range(len(res.records))]
+            == [_row_bits(r) for r in records])
+    expected = aggregate_sales_reference(records, regions.codes,
+                                         sectors.kept().codes)
+    if not records:
+        with pytest.raises(InputDataError, match="no data"):
+            aggregate_sales(res.records, regions, sectors)
+    elif not np.isfinite(expected).all():
+        with pytest.raises(InputDataError, match="finite"):
+            aggregate_sales(res.records, regions, sectors)
+    else:
+        sales = aggregate_sales(res.records, regions, sectors)
+        assert sales.values.tobytes() == expected.tobytes()
 
 
 MACRO_HEADER = "region_code,population,gross_product,income_per_person\n"
@@ -200,4 +319,6 @@ def test_million_row_scale(tmp_path):
         fh.write("F_bad_2,HK,01,,1\n")
     res = parse_firms(path, regions, sectors)
     assert len(res.records) == n
-    assert len(res.rejections) == 2
+    assert [(r.line, r.reason) for r in res.rejections] == [
+        (n + 2, "unknown region code 'XX'"), (n + 3, "missing sales")]
+    assert res.zero_sales_count == 0
