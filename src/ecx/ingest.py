@@ -4,11 +4,14 @@
 sector_code,annual_sales,employees``).  Rows missing sales or employees
 are rejected — the source data keeps only active firms for which both
 are reported — while zero-sales rows are accepted (they contribute
-nothing) and counted.  Accepted rows are held as columns in a
-``FirmTable``: catalog ids and sales in arrays, firm ids and employee
-counts as Python objects.  Aggregation sums sales into a region x sector
-matrix, adding each cell's contributions in ascending-sales order, so the
-result is bit-identical under any permutation of the input rows.
+nothing) and counted.  A quoted field may hold line breaks, as CSV
+allows; its record takes the number of its first line.  Accepted rows
+are held as columns in a ``FirmTable``: catalog ids and sales in arrays,
+firm ids and employee counts as Python objects.  Aggregation sums sales
+into a region x sector matrix, adding each cell's contributions in
+ascending-sales order, so the result is bit-identical under any
+permutation of the input rows; a cell whose sum overflows is refused
+by name.
 """
 
 from __future__ import annotations
@@ -121,6 +124,26 @@ def _split_csv_line(line: str) -> List[str]:
     return line.rstrip("\r\n").split(",")
 
 
+def _quoted_record(line: str, lines) -> List[str]:
+    """Fields of the CSV record that starts with ``line``.
+
+    While a quoted field is still open at the end of a line, ``csv``
+    reads the next line from ``lines`` (an ``enumerate`` of the stream,
+    so later rows keep their physical line numbers).  Returns no fields,
+    a malformed row, when the file ends inside the quotes.
+    """
+    ended = []
+
+    def record_lines():
+        yield line
+        for _, more in lines:
+            yield more
+        ended.append(True)
+
+    fields = next(csv.reader(record_lines()))
+    return [] if ended else fields
+
+
 def parse_firms(source: PathOrStream, regions: RegionCatalog,
                 sectors: SectorCatalog) -> FirmParseResult:
     """Parse firm rows, validating codes against the catalogs.
@@ -151,11 +174,12 @@ def parse_firms(source: PathOrStream, regions: RegionCatalog,
         rejections: List[Rejection] = []
         reject = rejections.append
         zero_sales = 0
-        for lineno, line in enumerate(stream, start=2):
+        lines = enumerate(stream, start=2)
+        for lineno, line in lines:
             if line.isspace():
                 continue
             if '"' in line:
-                fields = next(csv.reader([line]))
+                fields = _quoted_record(line, lines)
             else:
                 fields = line.rstrip("\r\n").split(",")
             if len(fields) != 5:
@@ -242,7 +266,15 @@ def aggregate_sales(records: FirmTable, regions: RegionCatalog,
     # bincount of no rows gives int zeros; every other result is float64
     values = np.bincount(cell[order], weights=sales[order],
                          minlength=size).astype(np.float64, copy=False)
-    return SalesMatrix(values.reshape(len(regions), len(kept)), regions, kept)
+    values = values.reshape(len(regions), len(kept))
+    overflow = np.argwhere(~np.isfinite(values))
+    if len(overflow):
+        i, j = overflow[0]
+        raise InputDataError(
+            f"sales of region {regions.codes[i]!r} in sector "
+            f"{kept.codes[j]!r} overflow: their sum is not finite"
+        )
+    return SalesMatrix(values, regions, kept)
 
 
 def parse_macro(source: PathOrStream, regions: RegionCatalog) -> MacroIndicators:

@@ -274,7 +274,8 @@ def write_ordered_matrix(out_dir, view) -> List[str]:
                      view.row_codes, view.col_codes, integer=True)
     h, w = view.matrix.shape
     lines = [f"P1\n{w} {h}\n"]
-    lines += [" ".join(str(int(v)) for v in row) + "\n" for row in view.matrix]
+    lines += [" ".join(map(str, row.tolist())) + "\n"
+              for row in view.matrix.astype(np.int64, copy=False)]
     (out / "ordered_matrix.pbm").write_text("".join(lines), encoding="ascii")
     return ["ordered_matrix.csv", "ordered_matrix.pbm"]
 

@@ -8,7 +8,10 @@ figures call an MST is grown greedily by *maximum* similarity
 lexicographically smallest label and repeatedly attach the non-tree
 node with the highest-similarity link to the tree, rounding weights to
 12 decimals for comparison and breaking ties by (tree-side label,
-new label).
+new label).  This is the dense form of Prim's algorithm (Prim 1957):
+each outside node keeps its best link to the tree so far, as a rounded
+weight and the tree-side label's rank, so the whole tree takes O(n²)
+array work.
 """
 
 from __future__ import annotations
@@ -89,13 +92,7 @@ def _components(adj: np.ndarray) -> List[List[int]]:
     return comps
 
 
-def max_similarity_tree(theta: SimilarityMatrix) -> SpanningTree:
-    """Prim-style growth by maximum similarity with deterministic ties."""
-    w = theta.values
-    codes = theta.codes
-    n = w.shape[0]
-    if n < 2:
-        raise InputDataError("need at least 2 nodes for a spanning tree")
+def _refuse_disconnected(w: np.ndarray, codes) -> None:
     comps = _components(w > 0)
     if len(comps) > 1:
         parts = "; ".join(
@@ -104,22 +101,52 @@ def max_similarity_tree(theta: SimilarityMatrix) -> SpanningTree:
         raise DisconnectedGraphError(
             f"similarity graph is disconnected: components {parts}"
         )
+
+
+def max_similarity_tree(theta: SimilarityMatrix) -> SpanningTree:
+    """Prim-style growth by maximum similarity with deterministic ties.
+
+    Each step attaches the (tree node a, outside node b) pair with the
+    smallest key (-rounded[a, b], code a, code b).  For every outside
+    node the best (rounded weight, tree-side code rank) so far is kept,
+    so a step is one scan of those arrays plus one row update: O(n^2)
+    in all.  Codes are distinct, so ranks order them as the codes do.
+    """
+    w = theta.values
+    codes = theta.codes
+    n = w.shape[0]
+    if n < 2:
+        raise InputDataError("need at least 2 nodes for a spanning tree")
     rounded = np.round(w, ROUND_DECIMALS)
-    start = min(range(n), key=lambda i: codes[i])
-    in_tree = [start]
-    outside = set(range(n)) - {start}
+    by_rank = sorted(range(n), key=codes.__getitem__)
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_rank] = np.arange(n)
+    start = by_rank[0]
+    outside = np.ones(n, dtype=bool)
+    outside[start] = False
+    best_w = rounded[start].copy()        # best rounded weight to the tree
+    best_w[start] = -np.inf
+    best_a = np.zeros(n, dtype=np.intp)   # rank of that tree-side node
+    connected = False
     edges = []
-    while outside:
-        best = None
-        for a in in_tree:
-            for b in outside:
-                key = (-rounded[a, b], codes[a], codes[b])
-                if best is None or key < best[0]:
-                    best = (key, a, b)
-        _, a, b = best
+    for _ in range(n - 1):
+        top = best_w.max()
+        if not top > 0 and not connected:
+            # every remaining link rounds to <= 0, but links in
+            # (0, 5e-13) still connect: refuse only a disconnected graph
+            _refuse_disconnected(w, codes)
+            connected = True
+        tied = np.flatnonzero(best_w == top)
+        b = tied[np.argmin(best_a[tied] * n + rank[tied])]
+        a = by_rank[best_a[b]]
         edges.append((codes[a], codes[b], float(w[a, b])))
-        in_tree.append(b)
-        outside.remove(b)
+        outside[b] = False
+        best_w[b] = -np.inf
+        row = rounded[b]
+        gain = outside & ((row > best_w)
+                          | ((row == best_w) & (rank[b] < best_a)))
+        best_w[gain] = row[gain]
+        best_a[gain] = rank[b]
     total = float(sum(e[2] for e in edges))
     return SpanningTree(tuple(edges), n, total, theta.kind)
 

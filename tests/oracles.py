@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths (and where possible
 the libraries) used by the package itself: eigenpairs come from a
 hand-rolled cyclic Jacobi rotation solver instead of LAPACK, spanning
-trees from exhaustive Prüfer-sequence enumeration, p-values from
+trees from exhaustive Prüfer-sequence enumeration (and their edge
+order from a rescan of every tree/outside pair), p-values from
 adaptive quadrature of the Student-t density at 40 significant digits,
 line fits from the textbook normal-equation formulas, the fitness
 map from an extended-precision mpmath iteration, and firm-table ingest
@@ -143,6 +144,49 @@ def best_tree_weight(weights: np.ndarray) -> float:
     return float(weights[u, v].sum(axis=1).max())
 
 
+def max_similarity_tree_reference(theta):
+    """The maximum-similarity tree by rescanning every (tree, outside) pair.
+
+    At each step the pair with the smallest key (-rounded[a, b], code a,
+    code b) joins, exactly as ``ecx.max_similarity_tree`` defines it, in
+    O(n^3) steps.  Disconnection is tested on the whole graph up front.
+    """
+    from ecx import DisconnectedGraphError, InputDataError
+    from ecx.projections import ROUND_DECIMALS, SpanningTree, _components
+
+    w = theta.values
+    codes = theta.codes
+    n = w.shape[0]
+    if n < 2:
+        raise InputDataError("need at least 2 nodes for a spanning tree")
+    comps = _components(w > 0)
+    if len(comps) > 1:
+        parts = "; ".join(
+            "{" + ",".join(codes[i] for i in comp) + "}" for comp in comps
+        )
+        raise DisconnectedGraphError(
+            f"similarity graph is disconnected: components {parts}"
+        )
+    rounded = np.round(w, ROUND_DECIMALS)
+    start = min(range(n), key=lambda i: codes[i])
+    in_tree = [start]
+    outside = set(range(n)) - {start}
+    edges = []
+    while outside:
+        best = None
+        for a in in_tree:
+            for b in outside:
+                key = (-rounded[a, b], codes[a], codes[b])
+                if best is None or key < best[0]:
+                    best = (key, a, b)
+        _, a, b = best
+        edges.append((codes[a], codes[b], float(w[a, b])))
+        in_tree.append(b)
+        outside.remove(b)
+    total = float(sum(e[2] for e in edges))
+    return SpanningTree(tuple(edges), n, total, theta.kind)
+
+
 # ----------------------------------------------------------- p-values
 
 def p_two_sided(r: float, n: int, dps: int = 40) -> float:
@@ -229,23 +273,55 @@ def fitness_reference(m: np.ndarray, tol: str = "1e-30",
 
 # -------------------------------------------------------------- ingest
 
+def _quote_open(text: str) -> bool:
+    """Whether ``text``, read as the start of one CSV record, ends inside
+    a quoted field.  A quote opens a field only as its first character;
+    inside, a doubled quote stands for one quote, and after the closing
+    quote the field goes on unquoted until the next comma."""
+    state = "start"
+    for ch in text:
+        if state == "quoted":
+            if ch == '"':
+                state = "quote"
+        elif state == "quote":
+            state = {'"': "quoted", ",": "start"}.get(ch, "field")
+        elif ch == ",":
+            state = "start"
+        elif ch == '"' and state == "start":
+            state = "quoted"
+        else:
+            state = "field"
+    return state == "quoted"
+
+
 def parse_firms_reference(text: str, region_codes: Sequence[str],
                           sector_codes: Sequence[str]):
     """Firm-table parse with one ``FirmRecord`` per accepted row.
 
     Applies the checks of ``ecx.ingest.parse_firms`` in the same order
     and returns (records, [(line, reason), ...], zero-sales count).  The
-    header is assumed valid and is skipped.
+    header is assumed valid and is skipped.  A record whose quoted field
+    spans lines takes the number of its first line.
     """
     from ecx import FirmRecord
 
     regions, sectors = set(region_codes), set(sector_codes)
     records, rejections, zero_sales = [], [], 0
-    lines = io.StringIO(text, newline="").readlines()
-    for lineno, line in enumerate(lines[1:], start=2):
+    lines = enumerate(io.StringIO(text, newline="").readlines()[1:], start=2)
+    for lineno, line in lines:
         if not line.strip():
             continue
         if '"' in line:
+            # a quoted field open at the end of the line goes on in the
+            # next line; the joined text is one record
+            while _quote_open(line):
+                more = next(lines, None)
+                if more is None:
+                    break
+                line += more[1]
+            if _quote_open(line):
+                rejections.append((lineno, "malformed row"))
+                continue
             fields = next(csv.reader([line]))
         else:
             fields = line.rstrip("\r\n").split(",")

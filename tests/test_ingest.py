@@ -1,6 +1,7 @@
 """Firm/macro parsing and deterministic sales aggregation."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,30 @@ def test_blank_lines_skipped():
 def test_quoted_field_with_comma():
     res = _parse('"F,1",R01,S01,10,1\n')
     assert res.records[0].firm_id == "F,1"
+
+
+def test_quoted_newline_joins_lines():
+    res = _parse('"Acme\nLtd",R01,S01,10,1\nF2,R99,S01,1,1\n')
+    assert [res.records[i] for i in range(len(res.records))] == [
+        FirmRecord("Acme\nLtd", "R01", "S01", 10.0, 1)]
+    # the record spans lines 2-3; the next row keeps its physical number
+    assert [(r.line, r.reason) for r in res.rejections] == [
+        (4, "unknown region code 'R99'")]
+
+
+def test_unterminated_quote_at_end_of_file():
+    res = _parse('F1,R01,S01,10,1\n"Open,R01,S01,1,1\nF3,R01,S01,2,2\n')
+    assert len(res.records) == 1
+    assert [(r.line, r.reason) for r in res.rejections] == [
+        (3, "malformed row")]
+
+
+def test_overflowing_cell_is_named():
+    res = _parse("F1,R01,S01,1,1\nF2,R02,S03,1e308,1\nF3,R02,S03,1e308,1\n")
+    with pytest.raises(InputDataError,
+                       match="region 'R02' in sector 'S03' overflow"):
+        aggregate_sales(res.records, make_region_catalog(3),
+                        make_sector_catalog(3))
 
 
 def test_excluded_sector_dropped_at_aggregation():
@@ -183,7 +208,7 @@ def _fields(style, *strategies):
     return st.tuples(*(st.tuples(s, style) for s in strategies))
 
 
-_FIRM_ID = st.text(alphabet='F1a ,"', max_size=4)
+_FIRM_ID = st.text(alphabet='F1a ,"\n\r', max_size=4)
 _GOOD_ROW = _fields(
     _STYLE, _FIRM_ID, st.sampled_from(["R01", "R01", "R02"]),
     st.sampled_from(["S01", "S01", "S02", "S03"]),
@@ -196,28 +221,34 @@ _MESSY_ROW = _fields(
     st.sampled_from(["S03", "S99", ""]),
     st.one_of(st.sampled_from(_SALES + _BAD_SALES), st.floats().map(repr)),
     st.sampled_from(_EMPLOYEES + _BAD_EMPLOYEES))
-_KIND = st.sampled_from(["row"] * 8 + ["messy", "blank", "count"])
+_KIND = st.sampled_from(["row"] * 8 + ["messy", "blank", "count", "open"])
 _BLANK = st.sampled_from(["", "   ", "\t"])
 _ENDING = st.sampled_from(["\n", "\r\n"])
 
 
 def _csv_field(text, style):
     quoted, pad = style
-    if quoted or "," in text or '"' in text:
+    if quoted or any(c in text for c in ',"\n\r'):
         text = '"' + text.replace('"', '""') + '"'
     return " " * pad + text + " " * pad
 
 
 @st.composite
 def _messy_firm_table(draw):
-    """CSV text with quoted and padded fields, blank lines, mixed line
-    endings, unknown codes, an excluded sector, wrong field counts, and
-    sales and employee counts that are valid, invalid or extreme."""
+    """CSV text with quoted and padded fields, newlines inside quotes,
+    blank lines, mixed line endings, unknown codes, an excluded sector,
+    wrong field counts, quotes left open (closed by a later line or by
+    the end of the file), and sales and employee counts that are valid,
+    invalid or extreme."""
     lines = [HEADER]
     for _ in range(draw(st.integers(0, 60))):
         kind = draw(_KIND)
         if kind == "blank":
             line = draw(_BLANK)
+        elif kind == "open":
+            fields = draw(_GOOD_ROW)
+            line = ",".join([*(_csv_field(*f) for f in fields[:-1]),
+                             '"' + fields[-1][0]])
         else:
             fields = draw(_GOOD_ROW if kind == "row" else _MESSY_ROW)
             if kind == "count":
@@ -236,6 +267,8 @@ def _row_bits(rec):
 @given(_messy_firm_table())
 # in file order 1e16 + 1 + 1 rounds to 1e16, in sales order to 1e16 + 2
 @example(HEADER + "F1,R01,S01,1e16,1\r\nF2,R01,S01,1,1\nF3,R01,S01,1,1\n")
+@example(HEADER + '"Acme\nLtd",R01,S01,10,1\nF2,R99,S01,1,1\n')
+@example(HEADER + 'F1,R01,S01,10,1\n"Open,R01,S01,1,1\nF3,R01,S01,2,2\n')
 @settings(max_examples=100, deadline=None)
 def test_ingest_matches_reference(text):
     regions = make_region_catalog(3)
@@ -254,7 +287,10 @@ def test_ingest_matches_reference(text):
         with pytest.raises(InputDataError, match="no data"):
             aggregate_sales(res.records, regions, sectors)
     elif not np.isfinite(expected).all():
-        with pytest.raises(InputDataError, match="finite"):
+        i, j = np.argwhere(~np.isfinite(expected))[0]
+        cell = (f"region {regions.codes[i]!r} in sector "
+                f"{sectors.kept().codes[j]!r} overflow")
+        with pytest.raises(InputDataError, match=re.escape(cell)):
             aggregate_sales(res.records, regions, sectors)
     else:
         sales = aggregate_sales(res.records, regions, sectors)

@@ -12,6 +12,7 @@ from conftest import binary, make_region_catalog
 from ecx import (DisconnectedGraphError, InputDataError, export_tree,
                  max_similarity_tree, project, similarity)
 from ecx.projections import SimilarityMatrix
+from oracles import max_similarity_tree_reference
 
 NESTED = [[1, 1, 1], [1, 1, 0], [1, 0, 0]]
 
@@ -137,6 +138,66 @@ def test_tree_shape_properties(pattern):
         assert 0 < wt <= 1
         parent[find(a)] = find(b)
     assert len({find(c) for c in theta.codes}) == 1
+
+
+# Tie-heavy similarity matrices for the comparison with the reference
+# tree: Θ of small 0/1 matrices (many exact ties, often disconnected),
+# all-equal weights, and weights that differ only below the 12-decimal
+# rounding, some of them positive yet rounding to 0.
+_SUB_ROUNDING = [0.0, 1e-14, -1e-14, 1e-13, 3e-13, -3e-13]
+
+
+@st.composite
+def _tie_heavy_theta(draw):
+    n = draw(st.integers(2, 24))
+    kind = draw(st.sampled_from(["pattern", "flat", "sub-rounding"]))
+    if kind == "pattern":
+        pattern = draw(arrays(np.int64, (n, draw(st.integers(1, 6))),
+                              elements=st.integers(0, 1)))
+        pattern[pattern.sum(axis=1) == 0, 0] = 1
+        values = similarity(project(binary(pattern[:, pattern.any(axis=0)]),
+                                    "region")).values
+    elif kind == "flat":
+        values = np.full((n, n), draw(st.sampled_from([0.5, 1.0, 1e-13])))
+    else:
+        base = draw(arrays(np.float64, (n, n),
+                           elements=st.sampled_from([0.0, 0.25, 0.5])))
+        noise = draw(arrays(np.float64, (n, n),
+                            elements=st.sampled_from(_SUB_ROUNDING)))
+        values = np.triu(base + noise, 1)
+        values = values + values.T
+    np.fill_diagonal(values, 1.0)
+    # code order differs from index order, and "N10" < "N2"
+    codes = draw(st.permutations([f"N{i}" for i in range(n)]))
+    return SimilarityMatrix(values, "region", tuple(codes))
+
+
+def _tree_outcome(build, theta):
+    try:
+        tree = build(theta)
+    except (DisconnectedGraphError, InputDataError) as exc:
+        return type(exc), str(exc)
+    return ([(a, b, wt.hex()) for a, b, wt in tree.edges], tree.n,
+            tree.total_weight.hex(), tree.kind)
+
+
+@given(_tie_heavy_theta())
+@settings(max_examples=150, deadline=None)
+def test_tree_matches_reference(theta):
+    assert (_tree_outcome(max_similarity_tree, theta)
+            == _tree_outcome(max_similarity_tree_reference, theta))
+
+
+def test_tree_matches_reference_200_nodes():
+    rng = np.random.default_rng(5)
+    pattern = (rng.random((200, 60)) < 0.3).astype(np.int64)
+    pattern[pattern.sum(axis=1) == 0, 0] = 1
+    values = similarity(project(binary(pattern), "region")).values
+    codes = tuple(f"R{i}" for i in rng.permutation(200))
+    theta = SimilarityMatrix(values, "region", codes)
+    outcome = _tree_outcome(max_similarity_tree, theta)
+    assert len(outcome[0]) == 199
+    assert outcome == _tree_outcome(max_similarity_tree_reference, theta)
 
 
 def test_export_dot_layout():
