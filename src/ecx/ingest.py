@@ -124,13 +124,15 @@ def _split_csv_line(line: str) -> List[str]:
     return line.rstrip("\r\n").split(",")
 
 
-def _quoted_record(line: str, lines) -> List[str]:
+def _quoted_record(lineno: int, line: str, lines) -> List[str]:
     """Fields of the CSV record that starts with ``line``.
 
     While a quoted field is still open at the end of a line, ``csv``
     reads the next line from ``lines`` (an ``enumerate`` of the stream,
     so later rows keep their physical line numbers).  Returns no fields,
-    a malformed row, when the file ends inside the quotes.
+    a malformed row, when the file ends inside the quotes.  A field
+    beyond csv's size limit, such as a stray quote that swallows the
+    rest of a large file, is refused with the line where it opened.
     """
     ended = []
 
@@ -140,7 +142,11 @@ def _quoted_record(line: str, lines) -> List[str]:
             yield more
         ended.append(True)
 
-    fields = next(csv.reader(record_lines()))
+    try:
+        fields = next(csv.reader(record_lines()))
+    except csv.Error as exc:
+        raise InputDataError(
+            f"firms table: record from line {lineno}: {exc}") from None
     return [] if ended else fields
 
 
@@ -179,7 +185,7 @@ def parse_firms(source: PathOrStream, regions: RegionCatalog,
             if line.isspace():
                 continue
             if '"' in line:
-                fields = _quoted_record(line, lines)
+                fields = _quoted_record(lineno, line, lines)
             else:
                 fields = line.rstrip("\r\n").split(",")
             if len(fields) != 5:

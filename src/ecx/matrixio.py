@@ -10,7 +10,6 @@ inputs give byte-identical files.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from pathlib import Path
 from typing import Sequence
@@ -34,28 +33,16 @@ def write_matrix_csv(path, values: np.ndarray, row_codes: Sequence[str],
             f"matrix shape {values.shape} does not match "
             f"{len(row_codes)}x{len(col_codes)} labels"
         )
-    # Python ints and floats format as fmt_float and int() do, and a
-    # formatted number never needs csv quoting: only codes go through csv
+    # Python ints and floats format as fmt_float and int() do
     fmt = str if integer else repr
     cells = values.astype(np.int64 if integer else np.float64, copy=False)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow([corner, *col_codes])
-        if not col_codes:
-            w.writerows([code] for code in row_codes)
-            return
         # tolist() a row at a time: Python numbers for the whole matrix
         # would raise the peak memory of a pass
         for code, row in zip(row_codes, cells):
-            text = map(fmt, row.tolist())
-            fh.write(",".join([_csv_quoted(code), *text]) + "\n")
-
-
-def _csv_quoted(field: str) -> str:
-    """``field`` as ``csv.writer`` writes it in a row of several fields."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([field, ""])
-    return buf.getvalue()[:-2]
+            w.writerow([code, *map(fmt, row.tolist())])
 
 
 def read_matrix_csv(path):

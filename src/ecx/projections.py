@@ -92,17 +92,6 @@ def _components(adj: np.ndarray) -> List[List[int]]:
     return comps
 
 
-def _refuse_disconnected(w: np.ndarray, codes) -> None:
-    comps = _components(w > 0)
-    if len(comps) > 1:
-        parts = "; ".join(
-            "{" + ",".join(codes[i] for i in comp) + "}" for comp in comps
-        )
-        raise DisconnectedGraphError(
-            f"similarity graph is disconnected: components {parts}"
-        )
-
-
 def max_similarity_tree(theta: SimilarityMatrix) -> SpanningTree:
     """Prim-style growth by maximum similarity with deterministic ties.
 
@@ -117,6 +106,14 @@ def max_similarity_tree(theta: SimilarityMatrix) -> SpanningTree:
     n = w.shape[0]
     if n < 2:
         raise InputDataError("need at least 2 nodes for a spanning tree")
+    comps = _components(w > 0)
+    if len(comps) > 1:
+        parts = "; ".join(
+            "{" + ",".join(codes[i] for i in comp) + "}" for comp in comps
+        )
+        raise DisconnectedGraphError(
+            f"similarity graph is disconnected: components {parts}"
+        )
     rounded = np.round(w, ROUND_DECIMALS)
     by_rank = sorted(range(n), key=codes.__getitem__)
     rank = np.empty(n, dtype=np.intp)
@@ -127,15 +124,9 @@ def max_similarity_tree(theta: SimilarityMatrix) -> SpanningTree:
     best_w = rounded[start].copy()        # best rounded weight to the tree
     best_w[start] = -np.inf
     best_a = np.zeros(n, dtype=np.intp)   # rank of that tree-side node
-    connected = False
     edges = []
     for _ in range(n - 1):
         top = best_w.max()
-        if not top > 0 and not connected:
-            # every remaining link rounds to <= 0, but links in
-            # (0, 5e-13) still connect: refuse only a disconnected graph
-            _refuse_disconnected(w, codes)
-            connected = True
         tied = np.flatnonzero(best_w == top)
         b = tied[np.argmin(best_a[tied] * n + rank[tied])]
         a = by_rank[best_a[b]]

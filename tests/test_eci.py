@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -153,8 +153,12 @@ def test_standardization_moments(pattern):
     assert res.pci.std() == pytest.approx(1.0, abs=1e-10)
 
 
+# most small random patterns are degenerate or have an eigenvector
+# orthogonal to the degree anchor, so the assumes below discard many
+# draws by design; that is not a reason to abort the run
 @given(binary_pattern, st.randoms(use_true_random=False))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
 def test_permutation_equivariance(pattern, rnd):
     res = _indices_or_none(pattern)
     assume(res is not None)

@@ -1,5 +1,6 @@
 """Firm/macro parsing and deterministic sales aggregation."""
 
+import csv
 import io
 import re
 
@@ -98,6 +99,17 @@ def test_unterminated_quote_at_end_of_file():
     assert len(res.records) == 1
     assert [(r.line, r.reason) for r in res.rejections] == [
         (3, "malformed row")]
+
+
+def test_stray_quote_in_large_table_is_refused_by_line():
+    # the open quote swallows every later line into one field, which
+    # outgrows csv's field_size_limit long before the end of the file
+    rows = "".join(f"F{i},R01,S01,{i},1\n" for i in range(4, 20000))
+    body = 'F1,R01,S01,10,1\n"Open,R01,S01,1,1\n' + rows
+    assert len(rows) > csv.field_size_limit()
+    with pytest.raises(InputDataError,
+                       match="record from line 3: field larger than"):
+        _parse(body)
 
 
 def test_overflowing_cell_is_named():
