@@ -18,8 +18,8 @@ from .errors import (DegenerateMatrixError, DegenerateSpectrumError,
                      NonConvergenceError, NumericalError)
 from .fitness import (FitnessResult, OrderedMatrixView, anti_diagonal_column,
                       convergence_report, fitness_complexity, order_by_rank)
-from .ingest import (FirmRecord, MacroIndicators, SalesMatrix,
-                     aggregate_sales, parse_firms, parse_macro)
+from .ingest import (MacroIndicators, SalesMatrix, aggregate_sales,
+                     parse_firms, parse_macro)
 from .pipeline import RunConfig, run_pipeline
 from .projections import (ProjectionMatrix, SimilarityMatrix, SpanningTree,
                           export_tree, max_similarity_tree, project,
@@ -36,7 +36,7 @@ __all__ = [
     "BinaryBipartiteMatrix", "ComplexityIndices", "Correlation",
     "DegenerateMatrixError", "DegenerateSpectrumError", "DegreeProfile",
     "DisconnectedGraphError", "DIVISIONS", "DropReport", "EcxError",
-    "EigenPair", "FirmRecord", "FitnessResult", "FitResult",
+    "EigenPair", "FitnessResult", "FitResult",
     "InputDataError", "MacroIndicators", "NonConvergenceError",
     "NumericalError", "OrderedMatrixView", "ProjectionMatrix", "RcaMatrix",
     "Region", "RegionCatalog", "RunConfig", "SalesMatrix", "Sector",

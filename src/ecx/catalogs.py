@@ -111,6 +111,10 @@ class RegionCatalog:
         for i, r in enumerate(self.regions):
             if r.region_id != i:
                 raise InputDataError(f"region ids are not dense at {r.code!r}")
+            if "\r" in r.code:
+                raise InputDataError(
+                    f"region code {r.code!r} holds a carriage return, "
+                    "which a matrix CSV cannot carry")
             if r.super_region not in SUPER_REGIONS:
                 raise InputDataError(
                     f"unknown super_region {r.super_region!r} for {r.code!r}"
@@ -176,6 +180,10 @@ class SectorCatalog:
         for i, s in enumerate(self.sectors):
             if s.sector_id != i:
                 raise InputDataError(f"sector ids are not dense at {s.code!r}")
+            if "\r" in s.code:
+                raise InputDataError(
+                    f"sector code {s.code!r} holds a carriage return, "
+                    "which a matrix CSV cannot carry")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "SectorCatalog":

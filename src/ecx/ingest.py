@@ -6,18 +6,19 @@ are rejected — the source data keeps only active firms for which both
 are reported — while zero-sales rows are accepted (they contribute
 nothing) and counted.  A quoted field may hold line breaks, as CSV
 allows; its record takes the number of its first line.  Accepted rows
-are held as columns in a ``FirmTable``: catalog ids and sales in arrays,
-firm ids and employee counts as Python objects.  Aggregation sums sales
-into a region x sector matrix, adding each cell's contributions in
-ascending-sales order, so the result is bit-identical under any
-permutation of the input rows; a cell whose sum overflows is refused
-by name.
+are held as columns in a ``FirmTable``: catalog ids and sales, the only
+fields a later stage reads; firm ids and employee counts are checked but
+not kept.  Aggregation sums sales into a region x sector matrix, adding
+each cell's contributions in ascending-sales order, so the result is
+bit-identical under any permutation of the input rows; a cell whose sum
+overflows is refused by name.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -30,40 +31,22 @@ FIRMS_HEADER = ("firm_id", "region_code", "sector_code", "annual_sales", "employ
 MACRO_HEADER = ("region_code", "population", "gross_product", "income_per_person")
 
 
-@dataclass(frozen=True)
-class FirmRecord:
-    firm_id: str
-    region_code: str
-    sector_code: str
-    annual_sales: float
-    employees: int
-
-
 @dataclass(frozen=True, eq=False)
 class FirmTable:
-    """Accepted firm rows as columns; ``table[i]`` is row i as a FirmRecord.
+    """Accepted firm rows as columns of catalog ids and sales.
 
     Region and sector ids index the catalogs the table was parsed with
-    (excluded sectors included).  Employee counts stay Python ints, so
-    values beyond int64 are kept exactly.
+    (excluded sectors included).
     """
 
-    firm_ids: List[str]
-    region_ids: np.ndarray       # (n,) intp
-    sector_ids: np.ndarray       # (n,) intp
+    region_ids: np.ndarray       # (n,) int64
+    sector_ids: np.ndarray       # (n,) int64
     sales: np.ndarray            # (n,) float64, finite and >= 0
-    employees: List[int]
     region_codes: Tuple[str, ...]
     sector_codes: Tuple[str, ...]
 
     def __len__(self) -> int:
-        return len(self.firm_ids)
-
-    def __getitem__(self, i: int) -> FirmRecord:
-        return FirmRecord(self.firm_ids[i],
-                          self.region_codes[self.region_ids[i]],
-                          self.sector_codes[self.sector_ids[i]],
-                          float(self.sales[i]), self.employees[i])
+        return len(self.sales)
 
 
 @dataclass(frozen=True)
@@ -172,11 +155,10 @@ def parse_firms(source: PathOrStream, regions: RegionCatalog,
         region_id = {r.code: r.region_id for r in regions}
         sector_id = {s.code: s.sector_id for s in sectors}
         isfinite = math.isfinite
-        firm_ids: List[str] = []
-        rids: List[int] = []
-        sids: List[int] = []
-        sales_col: List[float] = []
-        employees_col: List[int] = []
+        # 8 bytes a row each, not a Python object per value
+        rids = array("q")
+        sids = array("q")
+        sales_col = array("d")
         rejections: List[Rejection] = []
         reject = rejections.append
         zero_sales = 0
@@ -191,7 +173,7 @@ def parse_firms(source: PathOrStream, regions: RegionCatalog,
             if len(fields) != 5:
                 reject(Rejection(lineno, "malformed row"))
                 continue
-            firm_id, rcode, scode, sales_s, emp_s = fields
+            _, rcode, scode, sales_s, emp_s = fields
             rcode = rcode.strip()
             rid = region_id.get(rcode)
             if rid is None:
@@ -231,15 +213,13 @@ def parse_firms(source: PathOrStream, regions: RegionCatalog,
                 continue
             if sales == 0.0:
                 zero_sales += 1
-            firm_ids.append(firm_id.strip())
             rids.append(rid)
             sids.append(sid)
             sales_col.append(sales)
-            employees_col.append(employees)
-        table = FirmTable(firm_ids, np.array(rids, dtype=np.intp),
-                          np.array(sids, dtype=np.intp),
-                          np.array(sales_col, dtype=np.float64),
-                          employees_col, regions.codes, sectors.codes)
+        table = FirmTable(np.frombuffer(rids, dtype=np.int64),
+                          np.frombuffer(sids, dtype=np.int64),
+                          np.frombuffer(sales_col, dtype=np.float64),
+                          regions.codes, sectors.codes)
         return FirmParseResult(table, rejections, zero_sales)
     finally:
         if close:

@@ -90,7 +90,11 @@ class RunConfig:
 def _digest(path: Optional[Path]) -> Optional[str]:
     if path is None:
         return None
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
 
 
 def _report_path(out_dir, stage: str) -> Path:

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import special
-from scipy import stats as sp_stats
 
 from .catalogs import RegionCatalog
 from .errors import InputDataError
@@ -282,6 +281,9 @@ def rank_agreement(ranking_a: Dict[str, int], ranking_b: Dict[str, int]):
     labels = sorted(ranking_a, key=lambda c: (ranking_a[c], c))
     ra = [ranking_a[c] for c in labels]
     rb = [ranking_b[c] for c in labels]
+    # imported here, its only use: importing it costs ~46 MiB and ~0.9 s
+    from scipy import stats as sp_stats
+
     tau = float(sp_stats.kendalltau(ra, rb).statistic)
     table = [(c, ranking_a[c], ranking_b[c]) for c in labels]
     return tau, table

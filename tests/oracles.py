@@ -18,6 +18,7 @@ import heapq
 import io
 import itertools
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
@@ -273,6 +274,15 @@ def fitness_reference(m: np.ndarray, tol: str = "1e-30",
 
 # -------------------------------------------------------------- ingest
 
+@dataclass(frozen=True)
+class FirmRecord:
+    firm_id: str
+    region_code: str
+    sector_code: str
+    annual_sales: float
+    employees: int
+
+
 def _quote_open(text: str) -> bool:
     """Whether ``text``, read as the start of one CSV record, ends inside
     a quoted field.  A quote opens a field only as its first character;
@@ -303,8 +313,6 @@ def parse_firms_reference(text: str, region_codes: Sequence[str],
     header is assumed valid and is skipped.  A record whose quoted field
     spans lines takes the number of its first line.
     """
-    from ecx import FirmRecord
-
     regions, sectors = set(region_codes), set(sector_codes)
     records, rejections, zero_sales = [], [], 0
     lines = enumerate(io.StringIO(text, newline="").readlines()[1:], start=2)

@@ -47,6 +47,16 @@ def test_duplicate_sector_code_rejected():
                                  ("01", "B", "Goods", 0)])
 
 
+def test_code_with_carriage_return_rejected():
+    # csv.writer with "\n" line ends leaves a lone "\r" unquoted, so a
+    # matrix CSV holding such a code could not be read back
+    with pytest.raises(InputDataError, match=r"region code 'R\\r1'"):
+        RegionCatalog.from_rows([("AA", "A", "Kanto"), ("R\r1", "B", "Kanto")])
+    src = io.StringIO('code,name,division,excluded\n"S\r1",A,Goods,0\n')
+    with pytest.raises(InputDataError, match=r"sector code 'S\\r1'"):
+        SectorCatalog.from_csv(src)
+
+
 def test_unknown_super_region_rejected():
     with pytest.raises(InputDataError, match="super_region"):
         RegionCatalog.from_rows([("AA", "A", "Atlantis")])

@@ -3,6 +3,7 @@
 import csv
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_region_catalog, make_sector_catalog
-from ecx import (FirmRecord, InputDataError, SectorCatalog, aggregate_sales,
-                 parse_firms, parse_macro)
+from ecx import (InputDataError, SectorCatalog, aggregate_sales, parse_firms,
+                 parse_macro)
 from ecx.matrixio import read_matrix_csv, write_matrix_csv
 from oracles import aggregate_sales_reference, parse_firms_reference
 
@@ -23,11 +24,22 @@ def _parse(body: str, p=3, s=3):
                        make_region_catalog(p), make_sector_catalog(s))
 
 
+def _rows(table):
+    """(region code, sector code, sales.hex()) for each row of a table."""
+    return [(table.region_codes[r], table.sector_codes[s], x.hex())
+            for r, s, x in zip(table.region_ids.tolist(),
+                               table.sector_ids.tolist(), table.sales.tolist())]
+
+
 def test_parse_three_rows():
-    res = _parse("F1,R01,S01,100.5,3\nF2,R02,S02,50,1\nF3,R03,S03,7,12\n")
+    res = _parse("F1,R01,S01,100.5,3\nF2,R02,S02,50,1\nF3,R03,S03,7,12\n"
+                 "F4,R99,S01,1,1\n")
     assert len(res.records) == 3
-    assert res.rejections == []
-    assert res.records[0] == FirmRecord("F1", "R01", "S01", 100.5, 3)
+    assert _rows(res.records) == [("R01", "S01", (100.5).hex()),
+                                  ("R02", "S02", (50.0).hex()),
+                                  ("R03", "S03", (7.0).hex())]
+    assert [(r.line, r.reason) for r in res.rejections] == [
+        (5, "unknown region code 'R99'")]
 
 
 def test_header_mismatch():
@@ -81,14 +93,17 @@ def test_blank_lines_skipped():
 
 
 def test_quoted_field_with_comma():
-    res = _parse('"F,1",R01,S01,10,1\n')
-    assert res.records[0].firm_id == "F,1"
+    res = _parse('"F,1",R01,S01,10,1\nF2,R99,S01,1,1\n')
+    assert len(res.records) == 1
+    assert _rows(res.records) == [("R01", "S01", (10.0).hex())]
+    assert [(r.line, r.reason) for r in res.rejections] == [
+        (3, "unknown region code 'R99'")]
 
 
 def test_quoted_newline_joins_lines():
     res = _parse('"Acme\nLtd",R01,S01,10,1\nF2,R99,S01,1,1\n')
-    assert [res.records[i] for i in range(len(res.records))] == [
-        FirmRecord("Acme\nLtd", "R01", "S01", 10.0, 1)]
+    assert len(res.records) == 1
+    assert _rows(res.records) == [("R01", "S01", (10.0).hex())]
     # the record spans lines 2-3; the next row keeps its physical number
     assert [(r.line, r.reason) for r in res.rejections] == [
         (4, "unknown region code 'R99'")]
@@ -271,11 +286,6 @@ def _messy_firm_table(draw):
     return "".join(lines)
 
 
-def _row_bits(rec):
-    return (rec.firm_id, rec.region_code, rec.sector_code,
-            rec.annual_sales.hex(), type(rec.employees), rec.employees)
-
-
 @given(_messy_firm_table())
 # in file order 1e16 + 1 + 1 rounds to 1e16, in sales order to 1e16 + 2
 @example(HEADER + "F1,R01,S01,1e16,1\r\nF2,R01,S01,1,1\nF3,R01,S01,1,1\n")
@@ -291,8 +301,8 @@ def test_ingest_matches_reference(text):
     assert [(r.line, r.reason) for r in res.rejections] == rejections
     assert res.zero_sales_count == zero_sales
     assert len(res.records) == len(records)
-    assert ([_row_bits(res.records[i]) for i in range(len(res.records))]
-            == [_row_bits(r) for r in records])
+    assert _rows(res.records) == [
+        (r.region_code, r.sector_code, r.annual_sales.hex()) for r in records]
     expected = aggregate_sales_reference(records, regions.codes,
                                          sectors.kept().codes)
     if not records:
@@ -370,3 +380,22 @@ def test_million_row_scale(tmp_path):
     assert [(r.line, r.reason) for r in res.rejections] == [
         (n + 2, "unknown region code 'XX'"), (n + 3, "missing sales")]
     assert res.zero_sales_count == 0
+
+
+def test_parse_holds_few_bytes_per_row(tmp_path):
+    """The table keeps three 8-byte columns, not an object per value."""
+    n = 20_000
+    path = tmp_path / "firms.csv"
+    path.write_text(HEADER + "".join(
+        f"F{k:07d},R{1 + k % 3:02d},S{1 + k % 3:02d},{100 + k % 977},"
+        f"{1000 + k}\n" for k in range(n)), encoding="utf-8")
+    regions, sectors = make_region_catalog(3), make_sector_catalog(3)
+    tracemalloc.start()
+    try:
+        res = parse_firms(path, regions, sectors)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.records) == n
+    assert held <= 32 * n, f"{held / n:.1f} bytes held per row"
+    assert peak <= 64 * n, f"{peak / n:.1f} bytes peak per row"

@@ -1,11 +1,18 @@
 """Correlations, log-space fits, quadrants, group averages, rank tools."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import binary, make_region_catalog
+import ecx
 from ecx import (InputDataError, MacroIndicators, correlation_p_value,
                  degree_profile, fit_exponential, fit_power, pearson,
                  quadrants, rank_agreement, region_averages,
@@ -280,6 +287,30 @@ def test_rank_agreement_reversed():
 def test_rank_agreement_label_mismatch():
     with pytest.raises(InputDataError, match="label mismatch"):
         rank_agreement({"x": 1, "y": 2}, {"x": 1, "q": 2})
+
+
+def test_scipy_stats_stays_unimported(tmp_path):
+    """Only rank_agreement needs scipy.stats, and its import is heavy, so
+    neither ``import ecx`` nor a pipeline run may load it."""
+    script = textwrap.dedent("""
+        import sys
+        import ecx
+        assert "scipy.stats" not in sys.modules, "loaded by import ecx"
+        fixture = ecx.bundled_fixture_dir()
+        ecx.run_pipeline(ecx.RunConfig(
+            sys.argv[1], *(fixture / f"{name}.csv" for name in
+                           ("firms", "regions", "sectors", "macro"))))
+        assert "scipy.stats" not in sys.modules, "loaded by run_pipeline"
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(ecx.__file__).parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "report.json").is_file()
 
 
 def test_rank_of_ties_break_by_code():
