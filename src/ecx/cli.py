@@ -21,6 +21,8 @@ import os
 import sys
 from typing import List, Optional
 
+from . import eci as eci_mod
+from . import fitness as fit_mod
 from .errors import EcxError
 from .pipeline import (INDICATORS, RunConfig, run_pipeline, stage_correlate,
                        stage_eci, stage_fitness, stage_ingest, stage_matrix,
@@ -62,11 +64,12 @@ def _add_inputs(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_fitness_opts(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-9,
+    parser.add_argument("--tol", type=float, default=fit_mod.DEFAULT_TOL,
                         help="stop when no value moves more than this "
-                             "(default 1e-9)")
-    parser.add_argument("--max-iter", type=int, default=1000,
-                        help="iteration cap (default 1000)")
+                             "(default %(default)s)")
+    parser.add_argument("--max-iter", type=int,
+                        default=fit_mod.DEFAULT_MAX_ITER,
+                        help="iteration cap (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,17 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("matrix", help="RCA ratios and the binary matrix")
-    p.add_argument("--threshold", type=float, default=1.0,
-                   help="RCA cut-off for a 1 entry (default 1.0, inclusive)")
+    p.add_argument("--threshold", type=float, default=RunConfig.rca_threshold,
+                   help="RCA cut-off for a 1 entry "
+                        "(default %(default)s, inclusive)")
     _add_out(p)
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("eci", help="eigenvector complexity indices")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="eigenvalue tolerance (default 1e-10)")
-    p.add_argument("--max-iter", type=int, default=10000,
-                   help="power-iteration cap for large matrices "
-                        "(default 10000)")
+    p.add_argument("--tol", type=float, default=eci_mod.DEFAULT_TOL,
+                   help="eigenvalue tolerance (default %(default)s)")
     _add_out(p)
     p.set_defaults(func=cmd_eci)
 
@@ -150,12 +151,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full pipeline: ingest through report")
     _add_inputs(p)
-    p.add_argument("--threshold", type=float, default=1.0,
-                   help="RCA cut-off (default 1.0)")
-    p.add_argument("--eci-tol", type=float, default=1e-10)
-    p.add_argument("--eci-max-iter", type=int, default=10000)
-    p.add_argument("--fitness-tol", type=float, default=1e-9)
-    p.add_argument("--fitness-max-iter", type=int, default=1000)
+    p.add_argument("--threshold", type=float, default=RunConfig.rca_threshold,
+                   help="RCA cut-off (default %(default)s)")
+    p.add_argument("--eci-tol", type=float, default=eci_mod.DEFAULT_TOL,
+                   help="eigenvalue tolerance (default %(default)s)")
+    p.add_argument("--fitness-tol", type=float, default=fit_mod.DEFAULT_TOL,
+                   help="fitness stop tolerance (default %(default)s)")
+    p.add_argument("--fitness-max-iter", type=int,
+                   default=fit_mod.DEFAULT_MAX_ITER,
+                   help="fitness iteration cap (default %(default)s)")
     _add_out(p)
     p.set_defaults(func=cmd_run)
 
@@ -182,11 +186,10 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_eci(args) -> int:
-    cfg = RunConfig(out_dir=args.out, eci_tol=args.tol,
-                    eci_max_iter=args.max_iter)
+    cfg = RunConfig(out_dir=args.out, eci_tol=args.tol)
     report = stage_eci(cfg)
     print(f"eci: lambda2={report['lambda2_region']:.6g} "
-          f"(gap {report['spectral_gap']:.6g}, {report['method_region']})")
+          f"(gap {report['spectral_gap']:.6g})")
     return 0
 
 
@@ -241,7 +244,7 @@ def cmd_run(args) -> int:
     cfg = RunConfig(out_dir=args.out, firms=args.firms, regions=args.regions,
                     sectors=args.sectors, macro=args.macro,
                     rca_threshold=args.threshold,
-                    eci_tol=args.eci_tol, eci_max_iter=args.eci_max_iter,
+                    eci_tol=args.eci_tol,
                     fitness_tol=args.fitness_tol,
                     fitness_max_iter=args.fitness_max_iter)
     report = run_pipeline(cfg)

@@ -6,23 +6,21 @@ uniform) and carries no information.  The index is the eigenvector of
 the second-largest eigenvalue, standardized to mean 0 and population
 standard deviation 1 (ECI on the region side, PCI on the sector side).
 
-T is similar to a symmetric positive-semidefinite matrix, so its
-spectrum is real and nonnegative; the solver still refuses to pick a
-direction when the second eigenvalue is complex beyond rounding or not
-isolated from its neighbours ("degenerate spectrum").
-
-Two solver paths: a full dense eigendecomposition for n <= 64 and, for
-larger matrices, power iteration on the deflated matrix
-B = T - (1/n)·ones·onesᵀ (Wielandt deflation of the known leading
-eigenpair), started from the deterministic alternating vector
-(+1, -1, ...) orthogonalized against the uniform vector.  B's spectrum
-is {0} ∪ {λ2, λ3, ...}; its dominant eigenvector w recovers the true
-second eigenvector as v = w + (onesᵀw / (n·(λ2-1)))·ones.
+One thin SVD serves both sides (the spectral reading of Mealy, Farmer &
+Teytelboym, "Interpreting economic complexity", Sci. Adv. 2019).  With
+A = D_p^{-1/2} M D_s^{-1/2} = U Σ Vᵀ, the region matrix
+T = D_p^{-1} M D_s^{-1} Mᵀ is similar to AAᵀ and the sector matrix
+D_s^{-1} Mᵀ D_p^{-1} M to AᵀA.  Both have eigenvalues σᵢ² (plus zeros
+on the longer side), with eigenvectors D_p^{-1/2}uᵢ and D_s^{-1/2}vᵢ.
+The spectrum is real and nonnegative by construction; the solver still
+refuses to pick a direction when λ2 is not isolated from λ1 or λ3
+("degenerate spectrum").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -34,9 +32,7 @@ from .errors import (
 )
 from .rca import BinaryBipartiteMatrix, degree_profile, validate_nondegenerate
 
-DENSE_LIMIT = 64
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -61,8 +57,6 @@ class ComplexityIndices:
     sector_codes: tuple
     region_pair: EigenPair
     sector_pair: EigenPair
-    method_region: str          # "dense" | "power"
-    method_sector: str
 
     @property
     def second_eigenvalue_region(self) -> float:
@@ -79,7 +73,10 @@ class ComplexityIndices:
 
 
 def build_transition(m: BinaryBipartiteMatrix, kind: str) -> TransitionMatrix:
-    """Row-stochastic co-occurrence transition matrix of the given kind."""
+    """Row-stochastic co-occurrence transition matrix of the given kind.
+
+    A diagnostic: the solver never builds it.
+    """
     validate_nondegenerate(m)
     values = m.values.astype(float)
     k_p0 = values.sum(axis=1)
@@ -100,10 +97,6 @@ def build_transition(m: BinaryBipartiteMatrix, kind: str) -> TransitionMatrix:
     return TransitionMatrix(t, kind, codes)
 
 
-def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    return -v if v[int(np.argmax(np.abs(v)))] < 0 else v
-
-
 def _check_gap(lam_hi: float, lam_lo: float, tol: float, which: str) -> None:
     lam_hi, lam_lo = float(lam_hi), float(lam_lo)
     if abs(lam_hi - lam_lo) < tol:
@@ -113,26 +106,13 @@ def _check_gap(lam_hi: float, lam_lo: float, tol: float, which: str) -> None:
         )
 
 
-def _second_eigenpair_dense(t: TransitionMatrix, tol: float) -> EigenPair:
-    vals, vecs = np.linalg.eig(t.values)
-    order = np.argsort(-vals.real, kind="stable")
-    n = len(vals)
-    l1, l2 = vals[order[0]], vals[order[1]]
-    _check_gap(l1.real, l2.real, tol, "first and second")
-    if n >= 3:
-        _check_gap(l2.real, vals[order[2]].real, tol, "second and third")
-    if abs(l2.imag) >= 1e-10:
-        raise DegenerateSpectrumError(
-            f"degenerate spectrum: second eigenvalue {complex(l2)!r} is not real"
-        )
-    v = vecs[:, order[1]]
-    # a real eigenvector may come back with an arbitrary complex phase
-    k = int(np.argmax(np.abs(v)))
-    v = (v / (v[k] / abs(v[k]))).real
-    v /= np.linalg.norm(v)
-    v = _canonical_sign(v)
-    lam = float(l2.real)
-    residual = float(np.max(np.abs(t.values @ v - lam * v)))
+def _checked_pair(v: np.ndarray, lam: float, transition,
+                  tol: float) -> EigenPair:
+    """Unit-norm, canonically signed eigenpair, refused if Tv != λv."""
+    v = v / np.linalg.norm(v)
+    if v[int(np.argmax(np.abs(v)))] < 0:
+        v = -v
+    residual = float(np.max(np.abs(transition(v) - lam * v)))
     if residual > max(tol, 1e-9):
         raise NonConvergenceError(
             f"eigenpair residual {residual!r} exceeds tolerance"
@@ -140,94 +120,39 @@ def _second_eigenpair_dense(t: TransitionMatrix, tol: float) -> EigenPair:
     return EigenPair(lam, v, residual)
 
 
-def _alternating_start(n: int, shift: int = 0) -> np.ndarray:
-    x = np.where((np.arange(n) + shift) % 2 == 0, 1.0, -1.0)
-    x -= x.mean()
-    return x / np.linalg.norm(x)
-
-
-def _power_dominant(mul, start: np.ndarray, tol: float, max_iter: int):
-    """Dominant eigenpair of the linear map `mul` by power iteration.
-
-    Returns (lam, x, residual, converged); never raises, callers decide
-    how strict to be.
-    """
-    x = start
-    lam = 0.0
-    residual = np.inf
-    for _ in range(max_iter):
-        z = mul(x)
-        lam = float(x @ z)
-        residual = float(np.max(np.abs(z - lam * x)))
-        if residual < tol:
-            return lam, x, residual, True
-        nz = np.linalg.norm(z)
-        if nz < 1e-250:
-            # the map annihilates everything reachable: spectrum ~ 0
-            return 0.0, x, 0.0, True
-        x = z / nz
-    return lam, x, residual, False
-
-
-def _second_eigenpair_power(t: TransitionMatrix, tol: float,
-                            max_iter: int) -> EigenPair:
-    a = t.values
-    n = a.shape[0]
-
-    def mul_b(x):                      # B x = T x - (mean x)·ones
-        return a @ x - x.mean()
-
-    lam2, w, resid_b, ok = _power_dominant(
-        mul_b, _alternating_start(n), tol, max_iter
-    )
-    if not ok:
-        raise NonConvergenceError(
-            f"power iteration did not converge in {max_iter} iterations "
-            f"(residual {resid_b!r})"
-        )
-    _check_gap(1.0, lam2, tol, "first and second")
-
-    def mul_c(x):                      # deflate λ2 as well
-        return mul_b(x) - lam2 * (w @ x) * w
-
-    start3 = _alternating_start(n, shift=1)
-    start3 -= (w @ start3) * w
-    n3 = np.linalg.norm(start3)
-    if n3 > 1e-12:
-        start3 /= n3
-    else:
-        e = np.zeros(n)
-        e[0] = 1.0
-        e -= e.mean()
-        e -= (w @ e) * w
-        start3 = e / np.linalg.norm(e)
-    # estimate only: used for the spectral-gap guard, so a capped
-    # iteration count without convergence is acceptable here.
-    lam3, _, _, _ = _power_dominant(mul_c, start3, tol, max_iter)
-    _check_gap(lam2, lam3, tol, "second and third")
-
-    v = w + (w.sum() / (n * (lam2 - 1.0))) * np.ones(n)
-    v /= np.linalg.norm(v)
-    v = _canonical_sign(v)
-    residual = float(np.max(np.abs(a @ v - lam2 * v)))
-    if residual > max(tol, 1e-9):
-        raise NonConvergenceError(
-            f"eigenpair residual {residual!r} exceeds tolerance after recovery"
-        )
-    return EigenPair(float(lam2), v, residual)
-
-
-def second_eigenpair(t: TransitionMatrix, tol: float = DEFAULT_TOL,
-                     max_iter: int = DEFAULT_MAX_ITER) -> EigenPair:
-    """Eigenpair of the second-largest (by real part) eigenvalue of T."""
+def second_eigenpair(m: BinaryBipartiteMatrix, tol: float = DEFAULT_TOL
+                     ) -> Tuple[EigenPair, EigenPair]:
+    """(region, sector) eigenpairs of the second-largest eigenvalue of the
+    two transition matrices, from one thin SVD."""
     if not (tol > 0):
         raise InputDataError(f"tol must be positive, got {tol}")
-    n = t.values.shape[0]
-    if n < 2:
-        raise InputDataError("transition matrix must be at least 2x2")
-    if n <= DENSE_LIMIT:
-        return _second_eigenpair_dense(t, tol)
-    return _second_eigenpair_power(t, tol, max_iter)
+    validate_nondegenerate(m)
+    values = m.values.astype(float)
+    if min(values.shape) < 2:
+        raise InputDataError("transition matrices must be at least 2x2")
+    k_p0 = values.sum(axis=1)
+    k_s0 = values.sum(axis=0)
+    u, sigma, vt = np.linalg.svd(
+        values / np.sqrt(k_p0)[:, None] / np.sqrt(k_s0)[None, :],
+        full_matrices=False)
+    lam = sigma ** 2
+    _check_gap(lam[0], lam[1], tol, "first and second")
+    lam2 = float(lam[1])
+    lam3 = lam[2] if lam.size > 2 else 0.0
+
+    def region_transition(x):       # T x without building T
+        return values @ ((x @ values) / k_s0) / k_p0
+
+    def sector_transition(y):
+        return ((values @ y) / k_p0) @ values / k_s0
+
+    pairs = []
+    for v, transition in ((u[:, 1] / np.sqrt(k_p0), region_transition),
+                          (vt[1] / np.sqrt(k_s0), sector_transition)):
+        if v.size > 2:
+            _check_gap(lam2, lam3, tol, "second and third")
+        pairs.append(_checked_pair(v, lam2, transition, tol))
+    return tuple(pairs)
 
 
 def _standardize_oriented(v: np.ndarray, anchor: np.ndarray,
@@ -252,8 +177,8 @@ def _standardize_oriented(v: np.ndarray, anchor: np.ndarray,
     return z
 
 
-def compute_indices(m: BinaryBipartiteMatrix, tol: float = DEFAULT_TOL,
-                    max_iter: int = DEFAULT_MAX_ITER) -> ComplexityIndices:
+def compute_indices(m: BinaryBipartiteMatrix,
+                    tol: float = DEFAULT_TOL) -> ComplexityIndices:
     """ECI per region and PCI per sector.
 
     ECI is oriented to correlate non-negatively with diversification
@@ -261,10 +186,7 @@ def compute_indices(m: BinaryBipartiteMatrix, tol: float = DEFAULT_TOL,
     are the less ubiquitous ones).
     """
     prof = degree_profile(m)
-    t_region = build_transition(m, "region")
-    t_sector = build_transition(m, "sector")
-    pair_r = second_eigenpair(t_region, tol, max_iter)
-    pair_s = second_eigenpair(t_sector, tol, max_iter)
+    pair_r, pair_s = second_eigenpair(m, tol)
     eci = _standardize_oriented(pair_r.eigenvector, prof.k_p0.astype(float), +1)
     pci = _standardize_oriented(pair_s.eigenvector, prof.k_s0.astype(float), -1)
     return ComplexityIndices(
@@ -274,6 +196,4 @@ def compute_indices(m: BinaryBipartiteMatrix, tol: float = DEFAULT_TOL,
         sector_codes=m.sectors.codes,
         region_pair=pair_r,
         sector_pair=pair_s,
-        method_region="dense" if len(m.regions) <= DENSE_LIMIT else "power",
-        method_sector="dense" if len(m.sectors) <= DENSE_LIMIT else "power",
     )

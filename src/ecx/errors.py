@@ -32,7 +32,7 @@ class DegenerateSpectrumError(NumericalError):
 
 
 class NonConvergenceError(NumericalError):
-    """An iterative solver hit its iteration cap before meeting tol."""
+    """A solver's result misses its tolerance, e.g. an eigenpair residual."""
 
 
 class DisconnectedGraphError(NumericalError):

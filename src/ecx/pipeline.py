@@ -66,7 +66,6 @@ class RunConfig:
     macro: Optional[Path] = None
     rca_threshold: float = 1.0
     eci_tol: float = eci_mod.DEFAULT_TOL
-    eci_max_iter: int = eci_mod.DEFAULT_MAX_ITER
     fitness_tol: float = fit_mod.DEFAULT_TOL
     fitness_max_iter: int = fit_mod.DEFAULT_MAX_ITER
 
@@ -251,7 +250,7 @@ def _write_ranked(path, corner: str, value_name: str, codes, values) -> None:
 def stage_eci(cfg: RunConfig) -> dict:
     out = Path(cfg.out_dir)
     m = _load_binary(out)
-    idx = eci_mod.compute_indices(m, cfg.eci_tol, cfg.eci_max_iter)
+    idx = eci_mod.compute_indices(m, cfg.eci_tol)
     _write_ranked(out / "eci.csv", "region_code", "eci",
                   idx.region_codes, idx.eci)
     _write_ranked(out / "pci.csv", "sector_code", "pci",
@@ -263,8 +262,8 @@ def stage_eci(cfg: RunConfig) -> dict:
         "spectral_gap": idx.spectral_gap,
         "residual_region": idx.region_pair.residual_norm,
         "residual_sector": idx.sector_pair.residual_norm,
-        "method_region": idx.method_region,
-        "method_sector": idx.method_sector,
+        "method_region": "svd",
+        "method_sector": "svd",
         "tol": cfg.eci_tol,
     }
     write_json(_report_path(out, "eci"), report)

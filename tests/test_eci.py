@@ -1,15 +1,26 @@
 """Transition matrices, second eigenpairs, and index standardization."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import ecx
 from conftest import binary
 from ecx import (DegenerateSpectrumError, NonConvergenceError,
                  build_transition, compute_indices, second_eigenpair)
+from ecx.cli import main
 from ecx.eci import _standardize_oriented
+from ecx.matrixio import write_csv, write_matrix_csv
+from ecx.synth import _modular_matrix
 from oracles import eci_oracle
 
 NESTED_2 = [[1, 1], [1, 0]]
@@ -28,7 +39,8 @@ def test_transition_rows_sum_to_one():
 
 def test_second_eigenpair_worked_example():
     t = build_transition(binary(NESTED_2), "region")
-    pair = second_eigenpair(t)
+    pair, sector_pair = second_eigenpair(binary(NESTED_2))
+    assert sector_pair.eigenvalue == pair.eigenvalue
     assert pair.eigenvalue == pytest.approx(0.25, abs=1e-12)
     # eigenvector proportional to (1, -2), unit norm, residual tiny
     ratio = pair.eigenvector[0] / pair.eigenvector[1]
@@ -46,7 +58,6 @@ def test_indices_worked_example():
     assert res.second_eigenvalue_region == pytest.approx(0.25, abs=1e-12)
     assert res.second_eigenvalue_sector == pytest.approx(0.25, abs=1e-12)
     assert res.spectral_gap == pytest.approx(0.75, abs=1e-12)
-    assert res.method_region == "dense"
 
 
 def test_eci_signs_follow_diversification():
@@ -85,6 +96,30 @@ def test_tied_subleading_eigenvalues_degenerate():
         compute_indices(binary(ring))
 
 
+def _module_ring(n):
+    # a full 3-module ring: spectrum 1, 1/4, 1/4, 0, ... on both sides
+    return _modular_matrix(n, n, 1.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n", [66, 99, 150])
+def test_module_ring_degenerate(n):
+    with pytest.raises(DegenerateSpectrumError, match="second and third"):
+        compute_indices(binary(_module_ring(n)))
+
+
+def test_module_ring_cli_exits_3(tmp_path, capsys):
+    m = binary(_module_ring(66))
+    for name, catalog in (("catalog_regions.csv", m.regions),
+                          ("catalog_sectors.csv", m.sectors)):
+        rows = iter(catalog.to_csv_rows())
+        write_csv(tmp_path / name, next(rows), rows)
+    write_matrix_csv(tmp_path / "m.csv", m.values, m.regions.codes,
+                     m.sectors.codes, integer=True)
+    assert main(["eci", "--out", str(tmp_path)]) == 3
+    assert "degenerate spectrum" in capsys.readouterr().err
+    assert not (tmp_path / "eci.csv").exists()
+
+
 def _random_nondegenerate(p, s, seed):
     rng = np.random.default_rng(seed)
     while True:
@@ -96,29 +131,54 @@ def _random_nondegenerate(p, s, seed):
                 continue
 
 
-def test_power_path_matches_independent_solver():
-    m, res = _random_nondegenerate(70, 90, seed=11)
-    assert res.method_region == "power"
-    assert res.method_sector == "power"
-    lam, z = eci_oracle(m)
-    assert res.second_eigenvalue_region == pytest.approx(lam, abs=1e-8)
-    sign = 1.0 if np.dot(z, res.eci) >= 0 else -1.0
-    assert np.allclose(res.eci, sign * z, atol=1e-6)
-
-
-def test_power_path_reports_nonconvergence():
-    m, _ = _random_nondegenerate(70, 90, seed=12)
-    with pytest.raises(NonConvergenceError, match="power iteration"):
-        compute_indices(binary(m), max_iter=3)
-
-
-def test_dense_path_matches_independent_solver():
-    m, res = _random_nondegenerate(12, 17, seed=5)
-    assert res.method_region == "dense"
+@pytest.mark.parametrize("p,s,seed", [(12, 17, 5), (70, 90, 11)],
+                         ids=["12x17", "70x90"])
+def test_matches_independent_solver(p, s, seed):
+    m, res = _random_nondegenerate(p, s, seed)
     lam, z = eci_oracle(m)
     assert res.second_eigenvalue_region == pytest.approx(lam, abs=1e-10)
     sign = 1.0 if np.dot(z, res.eci) >= 0 else -1.0
     assert np.allclose(res.eci, sign * z, atol=1e-8)
+
+
+def test_residual_check_refuses_an_inexact_vector(monkeypatch):
+    m, _ = _random_nondegenerate(12, 17, seed=5)
+    svd = np.linalg.svd
+
+    def nudged(a, full_matrices=True):
+        u, sigma, vt = svd(a, full_matrices=full_matrices)
+        u[0, 1] += 1e-6
+        return u, sigma, vt
+
+    monkeypatch.setattr(np.linalg, "svd", nudged)
+    with pytest.raises(NonConvergenceError, match="residual"):
+        compute_indices(binary(m))
+
+
+def test_indices_identical_across_blas_thread_counts():
+    script = textwrap.dedent("""
+        import json
+        import numpy as np
+        from conftest import binary
+        from ecx import compute_indices
+        m = np.random.default_rng(3).random((200, 400)) < 0.35
+        res = compute_indices(binary(m))
+        print(json.dumps([res.eci.tobytes().hex(), res.pci.tobytes().hex(),
+                          res.region_pair.eigenvalue.hex(),
+                          res.sector_pair.eigenvalue.hex()]))
+    """)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(ecx.__file__).parents[1]),
+                        str(Path(__file__).parent),
+                        env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    assert outputs[0] == outputs[1]
 
 
 def test_build_transition_rejects_unknown_kind():
