@@ -4,13 +4,16 @@ Matrices are CSV files with row codes in the first column and column
 codes in the header row; floats are written with ``repr`` so re-parsing
 reproduces them bit-exactly.  JSON sidecars/reports are serialized with
 sorted keys, two-space indent and a trailing newline so byte-identical
-inputs give byte-identical files.
+inputs give byte-identical files.  Every file is written through
+``replacing``, so an interrupted write leaves the previous file as it was.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
@@ -22,6 +25,27 @@ from .errors import InputDataError
 def fmt_float(x: float) -> str:
     """Shortest decimal string that round-trips to the same float64."""
     return repr(float(x))
+
+
+@contextmanager
+def replacing(path, binary: bool = False):
+    """Open a temporary file beside ``path`` for writing.
+
+    When the block completes, ``os.replace`` puts the file under its
+    name in one step; when it raises, the temporary file is removed, so
+    a previous file at ``path`` stays byte-identical.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fh = (open(tmp, "wb") if binary
+          else open(tmp, "w", encoding="utf-8", newline=""))
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_matrix_csv(path, values: np.ndarray, row_codes: Sequence[str],
@@ -36,7 +60,7 @@ def write_matrix_csv(path, values: np.ndarray, row_codes: Sequence[str],
     # Python ints and floats format as fmt_float and int() do
     fmt = str if integer else repr
     cells = values.astype(np.int64 if integer else np.float64, copy=False)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with replacing(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow([corner, *col_codes])
         # tolist() a row at a time: Python numbers for the whole matrix
@@ -74,7 +98,7 @@ def read_matrix_csv(path):
 
 
 def write_csv(path, header: Sequence[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with replacing(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
@@ -103,7 +127,8 @@ def dump_json(obj) -> str:
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(dump_json(obj), encoding="utf-8")
+    with replacing(path) as fh:
+        fh.write(dump_json(obj))
 
 
 def read_json(path):

@@ -1,10 +1,14 @@
-"""Pipeline stages and the end-to-end runner.
+"""Pipeline stages, the stage table and the runner.
 
 Every stage is a standalone function that reads its inputs from the
-output directory and writes its products plus a ``<stage>_report.json``
-sidecar there.  ``run_pipeline`` simply executes the stages in order,
-so a chain of CLI subcommands and one ``run`` invocation produce
-identical bytes.  Reports never contain absolute paths or timestamps:
+output directory, writes its products there and returns its report.
+``run_stage`` runs any stage of ``STAGE_TABLE`` and writes its
+``<stage>_report.json`` sidecar, whose ``lineage`` holds the sha256 of
+each file the stage consumed or produced there; ``run_pipeline`` and
+every CLI subcommand go through it, so a chain of subcommands and one
+``run`` produce identical bytes.  ``report`` refuses sidecars whose
+files have changed since, so it never mixes outputs of different runs.
+Reports never contain absolute paths or timestamps:
 two runs over the same inputs give a byte-identical ``report.json`` no
 matter where the output directories live.
 
@@ -27,7 +31,7 @@ import csv
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -38,14 +42,12 @@ from .errors import EcxError, InputDataError
 from .ingest import (MACRO_HEADER, MacroIndicators, aggregate_sales,
                      parse_firms, parse_macro)
 from .ingest import SalesMatrix
-from .matrixio import (dump_json, fmt_float, read_json, read_matrix_csv,
+from .matrixio import (fmt_float, read_json, read_matrix_csv, replacing,
                        write_csv, write_json, write_matrix_csv)
 from .projections import export_tree, max_similarity_tree, project, similarity
 from .rca import BinaryBipartiteMatrix, binarize, compute_rca, degree_profile
 from .stats import (fit_exponential, fit_power, pearson, quadrants,
                     rank_of, region_averages)
-
-STAGES = ("ingest", "matrix", "eci", "fitness", "mst", "correlate", "report")
 
 #: CLI spelling -> macro table column
 INDICATORS = {
@@ -94,19 +96,6 @@ def _digest(path: Optional[Path]) -> Optional[str]:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
     return h.hexdigest()
-
-
-def _report_path(out_dir, stage: str) -> Path:
-    return Path(out_dir) / f"{stage}_report.json"
-
-
-def _load_stage_report(out_dir, stage: str) -> dict:
-    path = _report_path(out_dir, stage)
-    if not path.is_file():
-        raise InputDataError(
-            f"missing {path.name}: run the '{stage}' stage first"
-        )
-    return read_json(path)
 
 
 def _need(out_dir, name: str, stage: str) -> Path:
@@ -189,7 +178,7 @@ def stage_ingest(cfg: RunConfig) -> dict:
                             for x in macro.rejections]
     write_csv(out / "macro.csv", MACRO_HEADER, macro_rows)
 
-    report = {
+    return {
         "files": ["sales.csv"],
         "intermediates": ["catalog_regions.csv", "catalog_sectors.csv",
                           "macro.csv"],
@@ -210,8 +199,6 @@ def stage_ingest(cfg: RunConfig) -> dict:
         "sectors_total": len(sectors),
         "sectors_kept": len(sales.sectors),
     }
-    write_json(_report_path(out, "ingest"), report)
-    return report
 
 
 def stage_matrix(cfg: RunConfig) -> dict:
@@ -229,7 +216,7 @@ def stage_matrix(cfg: RunConfig) -> dict:
     write_matrix_csv(out / "m.csv", m.values, m.regions.codes,
                      m.sectors.codes, integer=True)
     ones = int(m.values.sum())
-    report = {
+    return {
         "files": ["rca.csv", "m.csv"],
         "threshold": cfg.rca_threshold,
         "dropped": m.dropped.as_dict(),
@@ -237,8 +224,6 @@ def stage_matrix(cfg: RunConfig) -> dict:
         "ones": ones,
         "density": ones / (m.shape[0] * m.shape[1]),
     }
-    write_json(_report_path(out, "matrix"), report)
-    return report
 
 
 def _write_ranked(path, corner: str, value_name: str, codes, values) -> None:
@@ -255,7 +240,7 @@ def stage_eci(cfg: RunConfig) -> dict:
                   idx.region_codes, idx.eci)
     _write_ranked(out / "pci.csv", "sector_code", "pci",
                   idx.sector_codes, idx.pci)
-    report = {
+    return {
         "files": ["eci.csv", "pci.csv"],
         "lambda2_region": idx.region_pair.eigenvalue,
         "lambda2_sector": idx.sector_pair.eigenvalue,
@@ -266,8 +251,6 @@ def stage_eci(cfg: RunConfig) -> dict:
         "method_sector": "svd",
         "tol": cfg.eci_tol,
     }
-    write_json(_report_path(out, "eci"), report)
-    return report
 
 
 def write_ordered_matrix(out_dir, view) -> List[str]:
@@ -276,10 +259,10 @@ def write_ordered_matrix(out_dir, view) -> List[str]:
     write_matrix_csv(out / "ordered_matrix.csv", view.matrix,
                      view.row_codes, view.col_codes, integer=True)
     h, w = view.matrix.shape
-    lines = [f"P1\n{w} {h}\n"]
-    lines += [" ".join(map(str, row.tolist())) + "\n"
-              for row in view.matrix.astype(np.int64, copy=False)]
-    (out / "ordered_matrix.pbm").write_text("".join(lines), encoding="ascii")
+    with replacing(out / "ordered_matrix.pbm") as fh:
+        fh.write(f"P1\n{w} {h}\n")
+        fh.writelines(" ".join(map(str, row.tolist())) + "\n"
+                      for row in view.matrix.astype(np.int64, copy=False))
     return ["ordered_matrix.csv", "ordered_matrix.pbm"]
 
 
@@ -298,7 +281,7 @@ def stage_fitness(cfg: RunConfig, ordered: bool = False) -> dict:
     files = ["fitness.csv", "complexity.csv", "trace.csv"]
     if ordered:
         files += write_ordered_matrix(out, view)
-    report = {
+    return {
         "files": files,
         "iterations": res.iterations,
         "converged": res.converged,
@@ -306,8 +289,6 @@ def stage_fitness(cfg: RunConfig, ordered: bool = False) -> dict:
         "min_fitness": res.min_fitness,
         "diagonal_clearance": view.diagonal_clearance,
     }
-    write_json(_report_path(out, "fitness"), report)
-    return report
 
 
 def stage_mst(cfg: RunConfig, entity: str = "region",
@@ -321,8 +302,9 @@ def stage_mst(cfg: RunConfig, entity: str = "region",
         catalog, grouping = m.sectors, "division"
     data = export_tree(tree, catalog, grouping, format)
     name = f"mst_{entity}.{format}"
-    (out / name).write_bytes(data)
-    report = {
+    with replacing(out / name, binary=True) as fh:
+        fh.write(data)
+    return {
         "files": [name],
         "entity": entity,
         "format": format,
@@ -330,23 +312,23 @@ def stage_mst(cfg: RunConfig, entity: str = "region",
         "edges": len(tree.edges),
         "total_weight": tree.total_weight,
     }
-    write_json(_report_path(out, "mst"), report)
-    return report
 
 
-def stage_correlate(cfg: RunConfig, indicators=None, indices=None,
+def stage_correlate(cfg: RunConfig, indicator: Optional[str] = None,
+                    index: Optional[str] = None,
                     fit: Optional[str] = None) -> dict:
     """Correlate each complexity index against each macro indicator.
 
     By default all four combinations are computed, with an exponential
     fit for ECI pairs and a power-law fit for fitness pairs (indicator
-    versus index, as the scatter plots draw them).  Passing ``fit`` also
+    versus index, as the scatter plots draw them); ``indicator`` and
+    ``index`` restrict the run to one of each.  Passing ``fit`` also
     writes a ``fit_<index>_<indicator>.csv`` table per combination using
     that model.
     """
     out = Path(cfg.out_dir)
-    indicators = list(indicators or INDICATORS)
-    indices = list(indices or ("eci", "fitness"))
+    indicators = [indicator] if indicator else list(INDICATORS)
+    indices = [index] if index else ["eci", "fitness"]
     for name in indicators:
         if name not in INDICATORS:
             raise InputDataError(f"unknown macro indicator {name!r}")
@@ -397,9 +379,7 @@ def stage_correlate(cfg: RunConfig, indicators=None, indices=None,
 
     correlations.sort(key=lambda e: (e["x_name"], e["y_name"]))
     write_json(out / "correlations.json", correlations)
-    report = {"files": files, "correlations": correlations, "fits": fits}
-    write_json(_report_path(out, "correlate"), report)
-    return report
+    return {"files": files, "correlations": correlations, "fits": fits}
 
 
 def write_summary_tables(cfg: RunConfig,
@@ -431,69 +411,122 @@ def write_summary_tables(cfg: RunConfig,
     return ["quadrants.csv", "regions.csv"]
 
 
+def _check_lineage(out: Path, sidecars: Dict[str, dict]) -> None:
+    """Refuse sidecars that name a file which has changed since their
+    stage ran; each file is hashed once."""
+    current: Dict[str, Optional[str]] = {}
+    for stage, sidecar in sidecars.items():
+        if "lineage" not in sidecar:
+            raise InputDataError(f"{stage}_report.json records no lineage: "
+                                 f"run the '{stage}' stage again")
+        for name, digest in sidecar["lineage"].items():
+            if name not in current:
+                path = out / name
+                current[name] = _digest(path) if path.is_file() else None
+            if current[name] != digest:
+                raise InputDataError(
+                    f"stage '{stage}' is stale: {name} has changed since it "
+                    f"ran; run '{stage}' and the stages after it again")
+
+
 def stage_report(cfg: RunConfig, summary: bool = False,
                  highlight: Optional[str] = None) -> dict:
     out = Path(cfg.out_dir)
-    ingest = _load_stage_report(out, "ingest")
-    matrix = _load_stage_report(out, "matrix")
-    eci = _load_stage_report(out, "eci")
-    fitness = _load_stage_report(out, "fitness")
-    mst = _load_stage_report(out, "mst")
-    correlate = _load_stage_report(out, "correlate")
+    sidecars = {name: read_json(_need(out, f"{name}_report.json", name))
+                for name in STAGE_TABLE if name != "report"}
+    _check_lineage(out, sidecars)
 
     files = ["report.json"]
     if summary:
         files += write_summary_tables(cfg, highlight)
-    manifest = sorted(
-        set(files)
-        | set(ingest["files"]) | set(matrix["files"]) | set(eci["files"])
-        | set(fitness["files"]) | set(mst["files"]) | set(correlate["files"])
+    manifest = sorted(set(files).union(*(s["files"]
+                                         for s in sidecars.values())))
+
+    report = {name: {k: v for k, v in sidecar.items()
+                     if k not in ("files", "intermediates", "lineage")}
+              for name, sidecar in sidecars.items()}
+    correlate = report.pop("correlate")
+    report.update(
+        input_digests=report["ingest"].pop("input_digests"),
+        dropped=report["matrix"]["dropped"],
+        correlations=correlate["correlations"],
+        fits=correlate["fits"],
+        intermediates=sidecars["ingest"]["intermediates"],
+        manifest=manifest,
     )
-
-    def strip(d: dict) -> dict:
-        return {k: v for k, v in d.items() if k not in ("files", "intermediates")}
-
-    report = {
-        "input_digests": ingest["input_digests"],
-        "ingest": {k: v for k, v in strip(ingest).items()
-                   if k != "input_digests"},
-        "dropped": matrix["dropped"],
-        "matrix": strip(matrix),
-        "eci": strip(eci),
-        "fitness": strip(fitness),
-        "mst": strip(mst),
-        "correlations": correlate["correlations"],
-        "fits": correlate["fits"],
-        "intermediates": ingest["intermediates"],
-        "manifest": manifest,
-    }
     write_json(out / "report.json", report)
     return report
 
 
-def run_pipeline(cfg: RunConfig) -> dict:
-    """ingest -> matrix -> eci -> fitness -> mst -> correlate -> report.
+class Stage(NamedTuple):
+    """One row of the stage table; ``stage_<name>`` does the work."""
+    name: str
+    consumes: Tuple[str, ...]           # intermediates read from out_dir
+    summary: Callable[[dict], str]      # the CLI's stdout from the report
 
-    Any stage failure aborts the run with the stage name prefixed to
-    the diagnostic; the exception class (and thus the exit code) is
-    preserved.
+
+_CATALOGS = ("catalog_regions.csv", "catalog_sectors.csv")
+
+#: every stage in run order; ``report`` checks the lineage of the others
+STAGE_TABLE = {stage.name: stage for stage in (
+    Stage("ingest", (), lambda r: (
+        f"ingest: {r['records']} records ({r['rejection_count']} rejected), "
+        f"{r['regions']} regions x {r['sectors_kept']} sectors")),
+    Stage("matrix", ("sales.csv", *_CATALOGS), lambda r: (
+        f"matrix: {r['shape'][0]}x{r['shape'][1]}, {r['ones']} ones "
+        f"(density {r['density']:.3f})")),
+    Stage("eci", ("m.csv", *_CATALOGS), lambda r: (
+        f"eci: lambda2={r['lambda2_region']:.6g} "
+        f"(gap {r['spectral_gap']:.6g})")),
+    Stage("fitness", ("m.csv", *_CATALOGS), lambda r: (
+        f"fitness: {'converged' if r['converged'] else 'did not converge'} "
+        f"after {r['iterations']} iterations (min {r['min_fitness']:.3g})")),
+    Stage("mst", ("m.csv", *_CATALOGS), lambda r: (
+        f"mst: {r['edges']} edges over {r['nodes']} {r['entity']}s, "
+        f"total similarity {r['total_weight']:.4f}")),
+    Stage("correlate", ("catalog_regions.csv", "macro.csv", "eci.csv",
+                        "fitness.csv"), lambda r: "\n".join(
+        f"correlate: {e['x_name']} vs {e['y_name']}: r={e['r']:.4f} "
+        f"p={e['p']:.3g} n={e['n']}" for e in r["correlations"])),
+    Stage("report", (), lambda r: (
+        f"report: {len(r['manifest'])} files in manifest")),
+)}
+
+
+def run_stage(name: str, cfg: RunConfig, **options) -> dict:
+    """Run one stage with its keyword ``options``; returns its report.
+
+    Errors keep their class, and so their exit code, and gain a
+    ``stage '<name>': `` prefix.  Every stage but ``report`` then gets
+    its ``<name>_report.json`` sidecar: the report plus a ``lineage``
+    with the sha256 of each consumed intermediate that exists and each
+    file the stage produced.  Ingest's own inputs lie outside the
+    output directory; its ``input_digests`` already identify them.
     """
+    out = Path(cfg.out_dir)
+    try:
+        # looked up by name at call time, not kept in the table, so that a
+        # wrapper set on the module attribute (bench/tracing.py sets one)
+        # sees every call
+        report = globals()[f"stage_{name}"](cfg, **options)
+        if name != "report":
+            files = [f for f in STAGE_TABLE[name].consumes
+                     if (out / f).is_file()]
+            files += report["files"] + report.get("intermediates", [])
+            lineage = {f: _digest(out / f) for f in files}
+            write_json(out / f"{name}_report.json",
+                       {**report, "lineage": lineage})
+    except EcxError as exc:
+        raise type(exc)(f"stage '{name}': {exc}") from exc
+    except OSError as exc:
+        raise OSError(f"stage '{name}': {exc}") from exc
+    return report
+
+
+def run_pipeline(cfg: RunConfig) -> dict:
+    """Every stage of ``STAGE_TABLE`` in order, with default options;
+    returns the final report.  Any stage failure aborts the run."""
     cfg.validate()
-    steps = (
-        ("ingest", lambda: stage_ingest(cfg)),
-        ("matrix", lambda: stage_matrix(cfg)),
-        ("eci", lambda: stage_eci(cfg)),
-        ("fitness", lambda: stage_fitness(cfg)),
-        ("mst", lambda: stage_mst(cfg)),
-        ("correlate", lambda: stage_correlate(cfg)),
-        ("report", lambda: stage_report(cfg)),
-    )
-    result: dict = {}
-    for name, step in steps:
-        try:
-            result = step()
-        except EcxError as exc:
-            raise type(exc)(f"stage '{name}': {exc}") from exc
-        except OSError as exc:
-            raise OSError(f"stage '{name}': {exc}") from exc
-    return result
+    for name in STAGE_TABLE:
+        report = run_stage(name, cfg)
+    return report

@@ -55,12 +55,16 @@ class SpanningTree:
 def project(m: BinaryBipartiteMatrix, kind: str) -> ProjectionMatrix:
     """Integer co-occurrence counts; the diagonal is the degree vector."""
     validate_nondegenerate(m)
-    v = m.values.astype(np.int64)
+    # numpy multiplies int64 matrices without BLAS; a float64 product is
+    # exact here, because every count is at most max(p, s), far below 2**53
+    v = m.values.astype(np.float64)
     if kind == "region":
-        return ProjectionMatrix(v @ v.T, kind, m.regions.codes)
-    if kind == "sector":
-        return ProjectionMatrix(v.T @ v, kind, m.sectors.codes)
-    raise InputDataError(f"unknown projection kind {kind!r}")
+        counts, codes = v @ v.T, m.regions.codes
+    elif kind == "sector":
+        counts, codes = v.T @ v, m.sectors.codes
+    else:
+        raise InputDataError(f"unknown projection kind {kind!r}")
+    return ProjectionMatrix(counts.astype(np.int64), kind, codes)
 
 
 def similarity(proj: ProjectionMatrix) -> SimilarityMatrix:

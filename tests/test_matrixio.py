@@ -2,6 +2,7 @@
 
 import csv
 import io
+import os
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from ecx import InputDataError, RegionCatalog, SectorCatalog
 from ecx.fitness import OrderedMatrixView
-from ecx.matrixio import fmt_float, read_matrix_csv, write_matrix_csv
+from ecx.matrixio import (fmt_float, read_matrix_csv, write_csv,
+                          write_matrix_csv)
 from ecx.pipeline import write_ordered_matrix
 
 # codes that csv must quote (comma, quote, newline) or keep as they are
@@ -89,3 +91,20 @@ def test_matrix_csv_round_trips_catalog_codes(tmp_path_factory, rcodes,
     assert col_codes == sectors.codes
     assert back.shape == values.shape
     assert back.tobytes() == values.tobytes()
+
+
+def test_interrupted_write_leaves_previous_file(tmp_path):
+    target = tmp_path / "t.csv"
+    write_csv(target, ("a", "b"), [(1, 2)])
+    before = target.read_bytes()
+
+    def rows():
+        for i in range(10_000):     # past the write buffer
+            yield (i, "x" * 20)
+        raise RuntimeError("interrupted")
+
+    for path in (target, tmp_path / "new.csv"):
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_csv(path, ("a", "b"), rows())
+    assert target.read_bytes() == before
+    assert os.listdir(tmp_path) == ["t.csv"]

@@ -1,10 +1,12 @@
 """End-to-end pipeline behaviour through the command-line interface."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from ecx import bundled_fixture_dir, pipeline
 from ecx.cli import main
 from ecx.matrixio import read_matrix_csv
 
@@ -126,17 +128,34 @@ def test_missing_firms_file_exits_2(tmp_path, capsys):
     assert "file not found" in capsys.readouterr().err
 
 
-def test_degenerate_economy_exits_3(tmp_path, capsys):
-    src = synth_inputs(tmp_path / "in", p=3, s=3)
+def degenerate_inputs(dir_):
+    src = synth_inputs(dir_, p=3, s=3)
     # overwrite the firms table with perfectly uniform sales: every RCA
     # is exactly 1, the transition matrix loses its spectral gap
     (src / "firms.csv").write_text(
         "firm_id,region_code,sector_code,annual_sales,employees\n"
         + "".join(f"F{i}{j},R0{i},S0{j},100,5\n"
                   for i in (1, 2, 3) for j in (1, 2, 3)))
+    return src
+
+
+def test_degenerate_economy_exits_3(tmp_path, capsys):
+    src = degenerate_inputs(tmp_path / "in")
     rc = main(["run", *run_args(src, tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 3
+    assert "stage 'eci'" in err
+    assert "degenerate spectrum" in err
+
+
+def test_degenerate_economy_eci_stage_exits_3(tmp_path, capsys):
+    src = degenerate_inputs(tmp_path / "in")
+    out = tmp_path / "out"
+    assert main(["ingest", *run_args(src, out)]) == 0
+    assert main(["matrix", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["eci", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
     assert "stage 'eci'" in err
     assert "degenerate spectrum" in err
 
@@ -243,3 +262,65 @@ def test_mst_sector_graphml(tmp_path):
     report = json.loads((out / "mst_report.json").read_text())
     assert report["entity"] == "sector"
     assert report["edges"] == report["nodes"] - 1
+
+
+def fixture_args(out):
+    fx = bundled_fixture_dir()
+    return ["--firms", str(fx / "firms.csv"),
+            "--regions", str(fx / "regions.csv"),
+            "--sectors", str(fx / "sectors.csv"),
+            "--macro", str(fx / "macro.csv"), "--out", str(out)]
+
+
+def test_report_refuses_a_matrix_newer_than_its_indices(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", *fixture_args(out)]) == 0
+    assert main(["matrix", "--threshold", "1.5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'eci' is stale" in err
+    assert "m.csv" in err
+
+    for stage in ("eci", "fitness", "mst", "correlate"):
+        assert main([stage, "--out", str(out)]) == 0
+    assert main(["report", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    eci = json.loads((out / "eci_report.json").read_text())
+    assert report["matrix"]["threshold"] == 1.5
+    assert report["eci"]["lambda2_region"] == eci["lambda2_region"]
+
+
+def test_report_refuses_outputs_of_other_inputs(tmp_path, capsys):
+    src = synth_inputs(tmp_path / "in")
+    out = tmp_path / "out"
+    assert main(["run", *fixture_args(out)]) == 0
+    assert main(["ingest", *run_args(src, out)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'matrix' is stale: catalog_regions.csv has changed" in err
+
+
+def test_stages_are_looked_up_by_name_at_call_time(tmp_path, monkeypatch):
+    calls = Counter()
+
+    def count(name):
+        stage = getattr(pipeline, f"stage_{name}")
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return stage(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, f"stage_{name}", counted)
+
+    count("eci")
+    count("mst")
+    src = synth_inputs(tmp_path / "in")
+    out = tmp_path / "out"
+    pipeline.run_pipeline(pipeline.RunConfig(
+        out_dir=out, firms=src / "firms.csv", regions=src / "regions.csv",
+        sectors=src / "sectors.csv", macro=src / "macro.csv"))
+    assert calls == {"eci": 1, "mst": 1}
+    assert main(["eci", "--out", str(out)]) == 0
+    assert calls == {"eci": 2, "mst": 1}

@@ -27,6 +27,18 @@ def test_projection_diagonals_are_degrees():
     assert p.values.dtype == np.int64
 
 
+@pytest.mark.parametrize("shape,fill", [((60, 90), 0.35), ((90, 60), 0.5),
+                                        ((40, 70), 1.0)])
+def test_projection_equals_int64_product(shape, fill):
+    values = (np.random.default_rng(7).random(shape) < fill).astype(np.int64)
+    m = binary(values)
+    for kind, expected in (("region", values @ values.T),
+                           ("sector", values.T @ values)):
+        p = project(m, kind)
+        assert p.values.dtype == np.int64
+        assert np.array_equal(p.values, expected), kind
+
+
 def test_projection_counts_shared_sectors():
     p = project(binary(NESTED), "region")
     assert p.values[0, 1] == 2    # regions 1 and 2 share two sectors
