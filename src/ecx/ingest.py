@@ -12,15 +12,31 @@ not kept.  Aggregation sums sales into a region x sector matrix, adding
 each cell's contributions in ascending-sales order, so the result is
 bit-identical under any permutation of the input rows; a cell whose sum
 overflows is refused by name.
+
+One loop, ``_parse_range``, parses a run of lines.  A file of at least
+two ``MIN_CHUNK_BYTES`` is cut at ``\\n`` bytes into one byte range per
+usable CPU (at most ``MAX_RANGES``), each cut where the quote bytes
+before it are even; forked children parse all ranges but the first,
+which this process parses, and the columns are joined in file order
+with each range's line numbers moved past the lines of the ranges
+before it.  If a range fails, or one but the last ends inside quotes
+(a quote inside an unquoted field can fool the parity), the whole file
+is parsed again in one range, whose result or error is the answer.  A
+stream, a smaller file or a single CPU is parsed in one range, in this
+process.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
+import os
+import signal
 from array import array
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -29,6 +45,20 @@ from .errors import InputDataError
 
 FIRMS_HEADER = ("firm_id", "region_code", "sector_code", "annual_sales", "employees")
 MACRO_HEADER = ("region_code", "population", "gross_product", "income_per_person")
+
+#: the smallest range of a firm table worth a process of its own.  A
+#: fork costs more than the parse shows: every page the parent shared
+#: with the child faults on its next write, so the break-even grows with
+#: the memory a process writes after ingest.  On a 2-vCPU x86-64 VM,
+#: cutting a table in two paid for whole ``ecx run`` passes from 1 MiB
+#: (won 5 of 6 pairs of fresh processes), but a one-process chain of the
+#: seven stage subcommands over random economies lost at 3.6 MB (won 2
+#: of 6) and won at 5.2 MB (4 of 6), so no table under 4 MiB is cut
+MIN_CHUNK_BYTES = 2 << 20
+#: the most ranges, and so processes, one parse uses
+MAX_RANGES = 4
+#: bytes read at a time while placing the cuts between ranges
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,21 +137,20 @@ def _split_csv_line(line: str) -> List[str]:
     return line.rstrip("\r\n").split(",")
 
 
-def _quoted_record(lineno: int, line: str, lines) -> List[str]:
+def _quoted_record(lineno: int, line: str, lines, ended: list) -> List[str]:
     """Fields of the CSV record that starts with ``line``.
 
     While a quoted field is still open at the end of a line, ``csv``
-    reads the next line from ``lines`` (an ``enumerate`` of the stream,
-    so later rows keep their physical line numbers).  Returns no fields,
-    a malformed row, when the file ends inside the quotes.  A field
-    beyond csv's size limit, such as a stray quote that swallows the
-    rest of a large file, is refused with the line where it opened.
+    reads the next line from ``lines`` (the range's ``(line, number)``
+    pairs, so later rows keep their physical line numbers).  Returns no
+    fields, a malformed row, when the lines end inside the quotes, and
+    then appends to ``ended``.  A field beyond csv's size limit, such as
+    a stray quote that swallows the rest of a large file, is refused
+    with the line where it opened.
     """
-    ended = []
-
     def record_lines():
         yield line
-        for _, more in lines:
+        for more, _ in lines:
             yield more
         ended.append(True)
 
@@ -133,12 +162,254 @@ def _quoted_record(lineno: int, line: str, lines) -> List[str]:
     return [] if ended else fields
 
 
+class _Range(NamedTuple):
+    """What the parse of one range of the firm table's body found.
+
+    Lines are numbered as if the range began the body, at line 2.
+    """
+
+    rids: array
+    sids: array
+    sales: array
+    rejections: List[Rejection]
+    zero_sales: int
+    lines: int              # physical lines read
+    open_quote: bool        # the last record ran past the range's end
+
+
+def _parse_range(stream, region_id: dict, sector_id: dict) -> _Range:
+    """Parse the firm rows of a text stream that holds no header."""
+    isfinite = math.isfinite
+    # 8 bytes a row each, not a Python object per value
+    rids = array("q")
+    sids = array("q")
+    sales_col = array("d")
+    rejections: List[Rejection] = []
+    reject = rejections.append
+    zero_sales = 0
+    open_quote: list = []
+    # the stream is drawn first, so after the loop the next number
+    # counts the lines read
+    numbers = itertools.count(2)
+    lines = zip(stream, numbers)
+    for line, lineno in lines:
+        if line.isspace():
+            continue
+        if '"' in line:
+            fields = _quoted_record(lineno, line, lines, open_quote)
+        else:
+            fields = line.rstrip("\r\n").split(",")
+        if len(fields) != 5:
+            reject(Rejection(lineno, "malformed row"))
+            continue
+        _, rcode, scode, sales_s, emp_s = fields
+        rcode = rcode.strip()
+        rid = region_id.get(rcode)
+        if rid is None:
+            reject(Rejection(lineno, f"unknown region code {rcode!r}"))
+            continue
+        scode = scode.strip()
+        sid = sector_id.get(scode)
+        if sid is None:
+            reject(Rejection(lineno, f"unknown sector code {scode!r}"))
+            continue
+        sales_s = sales_s.strip()
+        if not sales_s:
+            reject(Rejection(lineno, "missing sales"))
+            continue
+        emp_s = emp_s.strip()
+        if not emp_s:
+            reject(Rejection(lineno, "missing employees"))
+            continue
+        try:
+            sales = float(sales_s)
+        except ValueError:
+            reject(Rejection(lineno, "invalid sales"))
+            continue
+        if not isfinite(sales):
+            reject(Rejection(lineno, "invalid sales"))
+            continue
+        if sales < 0:
+            reject(Rejection(lineno, "negative sales"))
+            continue
+        try:
+            employees = int(emp_s)
+        except ValueError:
+            reject(Rejection(lineno, "invalid employees"))
+            continue
+        if employees < 0:
+            reject(Rejection(lineno, "negative employees"))
+            continue
+        if sales == 0.0:
+            zero_sales += 1
+        rids.append(rid)
+        sids.append(sid)
+        sales_col.append(sales)
+    return _Range(rids, sids, sales_col, rejections, zero_sales,
+                  next(numbers) - 2, bool(open_quote))
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes ``[start, end)`` of a file as a raw stream, read as needed."""
+
+    def __init__(self, path, start: int, end: int):
+        self._file = open(path, "rb", buffering=0)
+        self._file.seek(start)
+        self._left = end - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._file.readinto(memoryview(buffer)[:self._left])
+        self._left -= n
+        return n
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+def _parse_byte_range(path, start: int, end: int, region_id: dict,
+                      sector_id: dict) -> _Range:
+    with io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, end)),
+                          encoding="utf-8", newline="") as stream:
+        return _parse_range(stream, region_id, sector_id)
+
+
+def _range_bounds(path, start: int, size: int) -> List[int]:
+    """Bounds ``[start, ..., size]`` of the ranges to parse the body in.
+
+    One range per usable CPU, at most ``MAX_RANGES`` and none smaller
+    than about ``MIN_CHUNK_BYTES``.  Each inner bound lies just after a
+    ``\\n`` with an even number of quote bytes between ``start`` and it,
+    so it is outside any quoted field unless a quote stands inside an
+    unquoted one; the parse of the range before it checks that.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity mask, as on macOS: one range
+        cpus = 1
+    k = min(cpus, MAX_RANGES, (size - start) // MIN_CHUNK_BYTES)
+    bounds = [start]
+    if k < 2:
+        return bounds + [size]
+    pos, quotes = start, 0      # quote bytes in [start, pos)
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        while len(bounds) < k:
+            block = fh.read(_BLOCK_BYTES)
+            if not block:
+                break
+            done = 0            # quotes of block[:done] are counted
+            while len(bounds) < k:
+                target = start + (size - start) * len(bounds) // k
+                newline = block.find(b"\n", max(target - pos, done))
+                if newline < 0:
+                    break
+                quotes += block.count(b'"', done, newline + 1)
+                done = newline + 1
+                if quotes % 2 == 0 and pos + done < size:
+                    bounds.append(pos + done)
+            quotes += block.count(b'"', done)
+            pos += len(block)
+    bounds.append(size)
+    return bounds
+
+
+def _parse_split(path, bounds: List[int], region_id: dict,
+                 sector_id: dict) -> Optional[List[_Range]]:
+    """Parse each range of ``bounds``: the first in this process, each
+    other one in a forked child that sends it back through a pipe.
+
+    Returns the ranges in file order, or None if a range failed or one
+    but the last ended inside quotes (a cut fell inside a quoted field).
+    Every child is reaped before this returns or raises.
+    """
+    import pickle
+
+    children = []               # (pid, read end of its pipe), file order
+    try:
+        for start, end in zip(bounds[1:-1], bounds[2:]):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                return None
+            if pid == 0:
+                # the child never returns into the caller's stack, and
+                # any failure of its range shows as a pipe without data
+                code = 1
+                try:
+                    os.close(read_fd)
+                    for _, fd in children:
+                        os.close(fd)
+                    part = _parse_byte_range(path, start, end, region_id,
+                                             sector_id)
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(part, pipe, pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        try:
+            parts = [_parse_byte_range(path, bounds[0], bounds[1],
+                                       region_id, sector_id)]
+            for _, fd in children:
+                with open(fd, "rb", closefd=False) as pipe:
+                    parts.append(pickle.load(pipe))
+        except (InputDataError, ValueError, OSError, EOFError,
+                pickle.PickleError):
+            return None
+        if any(part.open_quote for part in parts[:-1]):
+            return None
+        return parts
+    finally:
+        for pid, fd in children:
+            os.close(fd)
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+
+
+def _merge(parts: List[_Range], regions: RegionCatalog,
+           sectors: SectorCatalog) -> FirmParseResult:
+    """One result from the ranges in file order: columns appended to the
+    first range's, rejection lines moved past the earlier ranges."""
+    first = parts[0]
+    rejections = first.rejections
+    zero_sales = first.zero_sales
+    shift = first.lines
+    for part in parts[1:]:
+        first.rids.extend(part.rids)
+        first.sids.extend(part.sids)
+        first.sales.extend(part.sales)
+        rejections += [Rejection(r.line + shift, r.reason)
+                       for r in part.rejections]
+        zero_sales += part.zero_sales
+        shift += part.lines
+    table = FirmTable(np.frombuffer(first.rids, dtype=np.int64),
+                      np.frombuffer(first.sids, dtype=np.int64),
+                      np.frombuffer(first.sales, dtype=np.float64),
+                      regions.codes, sectors.codes)
+    return FirmParseResult(table, rejections, zero_sales)
+
+
 def parse_firms(source: PathOrStream, regions: RegionCatalog,
                 sectors: SectorCatalog) -> FirmParseResult:
     """Parse firm rows, validating codes against the catalogs.
 
     Returns all well-formed rows as a ``FirmTable`` plus a rejection
     report of (line number, reason) for every row that was dropped.
+    A file of at least two ``MIN_CHUNK_BYTES`` is parsed in ranges on
+    up to ``MAX_RANGES`` usable CPUs; a stream, a smaller file, a single
+    CPU or a split that fails is parsed in one range, in this process,
+    and gives the same result or error.
     """
     stream = _open_text(source)
     close = stream is not source
@@ -154,73 +425,16 @@ def parse_firms(source: PathOrStream, regions: RegionCatalog,
             )
         region_id = {r.code: r.region_id for r in regions}
         sector_id = {s.code: s.sector_id for s in sectors}
-        isfinite = math.isfinite
-        # 8 bytes a row each, not a Python object per value
-        rids = array("q")
-        sids = array("q")
-        sales_col = array("d")
-        rejections: List[Rejection] = []
-        reject = rejections.append
-        zero_sales = 0
-        lines = enumerate(stream, start=2)
-        for lineno, line in lines:
-            if line.isspace():
-                continue
-            if '"' in line:
-                fields = _quoted_record(lineno, line, lines)
-            else:
-                fields = line.rstrip("\r\n").split(",")
-            if len(fields) != 5:
-                reject(Rejection(lineno, "malformed row"))
-                continue
-            _, rcode, scode, sales_s, emp_s = fields
-            rcode = rcode.strip()
-            rid = region_id.get(rcode)
-            if rid is None:
-                reject(Rejection(lineno, f"unknown region code {rcode!r}"))
-                continue
-            scode = scode.strip()
-            sid = sector_id.get(scode)
-            if sid is None:
-                reject(Rejection(lineno, f"unknown sector code {scode!r}"))
-                continue
-            sales_s = sales_s.strip()
-            if not sales_s:
-                reject(Rejection(lineno, "missing sales"))
-                continue
-            emp_s = emp_s.strip()
-            if not emp_s:
-                reject(Rejection(lineno, "missing employees"))
-                continue
-            try:
-                sales = float(sales_s)
-            except ValueError:
-                reject(Rejection(lineno, "invalid sales"))
-                continue
-            if not isfinite(sales):
-                reject(Rejection(lineno, "invalid sales"))
-                continue
-            if sales < 0:
-                reject(Rejection(lineno, "negative sales"))
-                continue
-            try:
-                employees = int(emp_s)
-            except ValueError:
-                reject(Rejection(lineno, "invalid employees"))
-                continue
-            if employees < 0:
-                reject(Rejection(lineno, "negative employees"))
-                continue
-            if sales == 0.0:
-                zero_sales += 1
-            rids.append(rid)
-            sids.append(sid)
-            sales_col.append(sales)
-        table = FirmTable(np.frombuffer(rids, dtype=np.int64),
-                          np.frombuffer(sids, dtype=np.int64),
-                          np.frombuffer(sales_col, dtype=np.float64),
-                          regions.codes, sectors.codes)
-        return FirmParseResult(table, rejections, zero_sales)
+        parts = None
+        if close:
+            start = len(header_line.encode("utf-8"))
+            bounds = _range_bounds(source, start,
+                                   os.fstat(stream.fileno()).st_size)
+            if len(bounds) > 2:
+                parts = _parse_split(source, bounds, region_id, sector_id)
+        if parts is None:
+            parts = [_parse_range(stream, region_id, sector_id)]
+        return _merge(parts, regions, sectors)
     finally:
         if close:
             stream.close()

@@ -4,7 +4,7 @@ Every stage is a standalone function that reads its inputs from the
 output directory, writes its products there and returns its report.
 ``run_stage`` runs any stage of ``STAGE_TABLE`` and writes its
 ``<stage>_report.json`` sidecar, whose ``lineage`` holds the sha256 of
-each file the stage consumed or produced there; ``run_pipeline`` and
+each file the stage read or produced there; ``run_pipeline`` and
 every CLI subcommand go through it, so a chain of subcommands and one
 ``run`` produce identical bytes.  ``report`` refuses sidecars whose
 files have changed since, so it never mixes outputs of different runs.
@@ -31,7 +31,7 @@ import csv
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -106,10 +106,18 @@ def _need(out_dir, name: str, stage: str) -> Path:
     return path
 
 
+_CATALOGS = ("catalog_regions.csv", "catalog_sectors.csv")
+#: the intermediates ``_load_binary`` reads
+_BINARY = ("m.csv", *_CATALOGS)
+
+
+def _load_regions(out_dir) -> RegionCatalog:
+    return RegionCatalog.from_csv(_need(out_dir, "catalog_regions.csv", "ingest"))
+
+
 def _load_catalogs(out_dir) -> tuple:
-    regions = RegionCatalog.from_csv(_need(out_dir, "catalog_regions.csv", "ingest"))
     sectors = SectorCatalog.from_csv(_need(out_dir, "catalog_sectors.csv", "ingest"))
-    return regions, sectors
+    return _load_regions(out_dir), sectors
 
 
 def _load_macro(out_dir, regions: RegionCatalog) -> MacroIndicators:
@@ -218,6 +226,7 @@ def stage_matrix(cfg: RunConfig) -> dict:
     ones = int(m.values.sum())
     return {
         "files": ["rca.csv", "m.csv"],
+        "reads": ["sales.csv", *_CATALOGS],
         "threshold": cfg.rca_threshold,
         "dropped": m.dropped.as_dict(),
         "shape": [int(m.shape[0]), int(m.shape[1])],
@@ -242,6 +251,7 @@ def stage_eci(cfg: RunConfig) -> dict:
                   idx.sector_codes, idx.pci)
     return {
         "files": ["eci.csv", "pci.csv"],
+        "reads": list(_BINARY),
         "lambda2_region": idx.region_pair.eigenvalue,
         "lambda2_sector": idx.sector_pair.eigenvalue,
         "spectral_gap": idx.spectral_gap,
@@ -283,6 +293,7 @@ def stage_fitness(cfg: RunConfig, ordered: bool = False) -> dict:
         files += write_ordered_matrix(out, view)
     return {
         "files": files,
+        "reads": list(_BINARY),
         "iterations": res.iterations,
         "converged": res.converged,
         "tol": res.tol,
@@ -306,6 +317,7 @@ def stage_mst(cfg: RunConfig, entity: str = "region",
         fh.write(data)
     return {
         "files": [name],
+        "reads": list(_BINARY),
         "entity": entity,
         "format": format,
         "nodes": tree.n,
@@ -332,13 +344,19 @@ def stage_correlate(cfg: RunConfig, indicator: Optional[str] = None,
     for name in indicators:
         if name not in INDICATORS:
             raise InputDataError(f"unknown macro indicator {name!r}")
+    if fit == "power" and "eci" in indices:
+        raise InputDataError(
+            "a power fit needs positive index values, and ECI is "
+            "standardised to mean 0: use --fit power with --index fitness")
 
-    regions, _ = _load_catalogs(out)
+    reads = ["catalog_regions.csv", "macro.csv"]
+    regions = _load_regions(out)
     macro = _load_macro(out, regions)
     index_values = {}
     for index in indices:
         stage = "eci" if index == "eci" else "fitness"
         table = _read_indexed(_need(out, f"{index}.csv", stage))
+        reads.append(f"{index}.csv")
         codes = tuple(table)
         index_values[index] = (codes, np.array([table[c] for c in codes]))
 
@@ -379,7 +397,8 @@ def stage_correlate(cfg: RunConfig, indicator: Optional[str] = None,
 
     correlations.sort(key=lambda e: (e["x_name"], e["y_name"]))
     write_json(out / "correlations.json", correlations)
-    return {"files": files, "correlations": correlations, "fits": fits}
+    return {"files": files, "reads": reads, "correlations": correlations,
+            "fits": fits}
 
 
 def write_summary_tables(cfg: RunConfig,
@@ -395,12 +414,11 @@ def write_summary_tables(cfg: RunConfig,
                 quads.quadrants[i])
                for i, c in enumerate(quads.codes)))
 
-    regions, _ = _load_catalogs(out)
-    macro = _load_macro(out, regions)
+    macro = _load_macro(out, m.regions)
     table = _read_indexed(_need(out, "eci.csv", "eci"))
     codes = tuple(table)
     summary = region_averages(np.array([table[c] for c in codes]), codes,
-                              macro, regions, highlight=highlight)
+                              macro, m.regions, highlight=highlight)
     write_csv(out / "regions.csv",
               ("group", "count", "mean_eci", "mean_gpp_per_capita",
                "mean_income_per_person"),
@@ -461,34 +479,30 @@ def stage_report(cfg: RunConfig, summary: bool = False,
 class Stage(NamedTuple):
     """One row of the stage table; ``stage_<name>`` does the work."""
     name: str
-    consumes: Tuple[str, ...]           # intermediates read from out_dir
     summary: Callable[[dict], str]      # the CLI's stdout from the report
 
 
-_CATALOGS = ("catalog_regions.csv", "catalog_sectors.csv")
-
 #: every stage in run order; ``report`` checks the lineage of the others
 STAGE_TABLE = {stage.name: stage for stage in (
-    Stage("ingest", (), lambda r: (
+    Stage("ingest", lambda r: (
         f"ingest: {r['records']} records ({r['rejection_count']} rejected), "
         f"{r['regions']} regions x {r['sectors_kept']} sectors")),
-    Stage("matrix", ("sales.csv", *_CATALOGS), lambda r: (
+    Stage("matrix", lambda r: (
         f"matrix: {r['shape'][0]}x{r['shape'][1]}, {r['ones']} ones "
         f"(density {r['density']:.3f})")),
-    Stage("eci", ("m.csv", *_CATALOGS), lambda r: (
+    Stage("eci", lambda r: (
         f"eci: lambda2={r['lambda2_region']:.6g} "
         f"(gap {r['spectral_gap']:.6g})")),
-    Stage("fitness", ("m.csv", *_CATALOGS), lambda r: (
+    Stage("fitness", lambda r: (
         f"fitness: {'converged' if r['converged'] else 'did not converge'} "
         f"after {r['iterations']} iterations (min {r['min_fitness']:.3g})")),
-    Stage("mst", ("m.csv", *_CATALOGS), lambda r: (
+    Stage("mst", lambda r: (
         f"mst: {r['edges']} edges over {r['nodes']} {r['entity']}s, "
         f"total similarity {r['total_weight']:.4f}")),
-    Stage("correlate", ("catalog_regions.csv", "macro.csv", "eci.csv",
-                        "fitness.csv"), lambda r: "\n".join(
+    Stage("correlate", lambda r: "\n".join(
         f"correlate: {e['x_name']} vs {e['y_name']}: r={e['r']:.4f} "
         f"p={e['p']:.3g} n={e['n']}" for e in r["correlations"])),
-    Stage("report", (), lambda r: (
+    Stage("report", lambda r: (
         f"report: {len(r['manifest'])} files in manifest")),
 )}
 
@@ -499,9 +513,10 @@ def run_stage(name: str, cfg: RunConfig, **options) -> dict:
     Errors keep their class, and so their exit code, and gain a
     ``stage '<name>': `` prefix.  Every stage but ``report`` then gets
     its ``<name>_report.json`` sidecar: the report plus a ``lineage``
-    with the sha256 of each consumed intermediate that exists and each
-    file the stage produced.  Ingest's own inputs lie outside the
-    output directory; its ``input_digests`` already identify them.
+    with the sha256 of each intermediate the stage read, which its
+    report lists under ``reads``, and of each file it produced.
+    Ingest's own inputs lie outside the output directory; its
+    ``input_digests`` already identify them.
     """
     out = Path(cfg.out_dir)
     try:
@@ -510,9 +525,8 @@ def run_stage(name: str, cfg: RunConfig, **options) -> dict:
         # sees every call
         report = globals()[f"stage_{name}"](cfg, **options)
         if name != "report":
-            files = [f for f in STAGE_TABLE[name].consumes
-                     if (out / f).is_file()]
-            files += report["files"] + report.get("intermediates", [])
+            files = (report.pop("reads", []) + report["files"]
+                     + report.get("intermediates", []))
             lineage = {f: _digest(out / f) for f in files}
             write_json(out / f"{name}_report.json",
                        {**report, "lineage": lineage})

@@ -2,8 +2,15 @@
 
 import csv
 import io
+import os
 import re
+import subprocess
+import sys
+import tempfile
+import textwrap
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_region_catalog, make_sector_catalog
-from ecx import (InputDataError, SectorCatalog, aggregate_sales, parse_firms,
-                 parse_macro)
+from ecx import (InputDataError, SectorCatalog, aggregate_sales, ingest,
+                 parse_firms, parse_macro)
 from ecx.matrixio import read_matrix_csv, write_matrix_csv
 from oracles import aggregate_sales_reference, parse_firms_reference
 
@@ -317,6 +324,235 @@ def test_ingest_matches_reference(text):
     else:
         sales = aggregate_sales(res.records, regions, sectors)
         assert sales.values.tobytes() == expected.tobytes()
+
+
+# The split parse: a firm file cut into byte ranges parsed by forked
+# children must give exactly what one range, parsed in this process, gives.
+
+def _result(res):
+    """Column bytes, (line, reason) rejections and zero-sales count."""
+    t = res.records
+    return (t.region_ids.tobytes(), t.sector_ids.tobytes(), t.sales.tobytes(),
+            [(r.line, r.reason) for r in res.rejections], res.zero_sales_count)
+
+
+def _serial(text, regions, sectors):
+    """Result or error message of the one-range parse of ``text``."""
+    try:
+        return _result(parse_firms(io.StringIO(text, newline=""), regions,
+                                   sectors))
+    except InputDataError as exc:
+        return str(exc)
+
+
+def _from_file(path, regions, sectors):
+    try:
+        return _result(parse_firms(path, regions, sectors))
+    except InputDataError as exc:
+        return str(exc)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Every file of two bytes or more is parsed in ranges on 4 CPUs;
+    yields the lists of ranges that the split parses returned."""
+    monkeypatch.setattr(ingest, "MIN_CHUNK_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(4)), raising=False)
+    returned = []
+    parse_split = ingest._parse_split
+
+    def recorded(*args):
+        parts = parse_split(*args)
+        returned.append(parts)
+        return parts
+
+    monkeypatch.setattr(ingest, "_parse_split", recorded)
+    return returned
+
+
+def _rows_of_every_kind(n):
+    """Rows with quoted multi-line fields, CRLF and lone-CR endings,
+    blank lines, zero sales and rejections; their quotes pair up."""
+    kinds = [
+        "F{k},R01,S01,{k},1\n",
+        '"Acme\n{k} Ltd",R02,S02,{k}.5,2\r\n',
+        "F{k},R03,S03,0,3\r",
+        "\n",
+        "   \r\n",
+        "F{k},R99,S01,1,1\n",
+        '"F,{k}",R01,S02,{k}e3,"7"\n',
+        "F{k},R02,S01,,1\n",
+        '"multi\r\nline\n{k}",R01,S03,3,4\n',
+    ]
+    return "".join(kinds[k % len(kinds)].format(k=k) for k in range(n))
+
+
+@pytest.mark.parametrize("tail", [
+    "",
+    'F_last,R01,S01,1,1\n"Open,R01,S01,1,1\nF_after,R01,S01,2,2\n',
+])
+def test_split_parse_equals_serial(tmp_path, split, tail):
+    text = HEADER + _rows_of_every_kind(900) + tail
+    path = tmp_path / "firms.csv"
+    path.write_bytes(text.encode("utf-8"))
+    regions, sectors = make_region_catalog(3), make_sector_catalog(3)
+    assert _from_file(path, regions, sectors) == _serial(text, regions,
+                                                         sectors)
+    assert [len(parts) for parts in split] == [4]
+    _no_child_left()
+
+
+def test_split_parse_at_scale(tmp_path, split):
+    """Rejection lines far into the last range keep their numbers."""
+    rows = [f"F{k},R{1 + k % 3:02d},S{1 + k % 3:02d},{k % 5},1\n"
+            for k in range(50_000)]
+    rows[49_990] = "F_bad,R99,S01,1,1\n"
+    rows[7] = "F_bad,R01,S01,,1\n"
+    text = HEADER + "".join(rows)
+    path = tmp_path / "firms.csv"
+    path.write_bytes(text.encode("utf-8"))
+    regions, sectors = make_region_catalog(3), make_sector_catalog(3)
+    res = parse_firms(path, regions, sectors)
+    assert [(r.line, r.reason) for r in res.rejections] == [
+        (9, "missing sales"), (49_992, "unknown region code 'R99'")]
+    assert _result(res) == _serial(text, regions, sectors)
+    assert [len(parts) for parts in split] == [4]
+
+
+_MID_QUOTE_ROW = st.sampled_from([
+    'F"1,R01,S01,1,1', 'F1,R0"1,S01,1,1', 'F1,R01,S01,2,1"', 'a"b"c,R02,S02,3,3'])
+_SPLIT_ENDING = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def _split_body(draw):
+    """Firm-table text whose lines mix every case that cuts must survive:
+    quoted multi-line fields, literal quotes inside unquoted fields (an
+    even quote count can then fall inside a quoted field), CRLF and
+    lone-CR endings, blank lines, and quotes left open, also at the end
+    of the file."""
+    lines = [HEADER]
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["row"] * 5 + ["mid", "blank", "open"]))
+        if kind == "blank":
+            line = draw(_BLANK)
+        elif kind == "mid":
+            line = draw(_MID_QUOTE_ROW)
+        else:
+            fields = draw(_GOOD_ROW)
+            line = ",".join(_csv_field(*f) for f in fields)
+            if kind == "open":
+                line = '"' + line
+        lines.append(line + draw(_SPLIT_ENDING))
+    if draw(st.booleans()):
+        lines.append('"Open at the end,R01,S01,1,1\n')
+    return "".join(lines)
+
+
+@given(_split_body(), st.lists(st.integers(0, 1000), max_size=3))
+# the quote count is even inside "Acme\nLtd", where the cut falls
+@example(HEADER + 'F"1,R01,S01,1,1\n"Acme\nLtd",R01,S01,10,1\nF3,R01,S01,2,2\n',
+         [1])
+@settings(max_examples=100, deadline=None)
+def test_split_parse_matches_serial_at_any_cuts(text, picks):
+    regions, sectors = make_region_catalog(3), _MESSY_SECTORS
+    raw = text.encode("utf-8")
+    start = len(HEADER)
+    # a cut may follow any \n of the body but the last byte
+    newlines = [i + 1 for i in range(start, len(raw) - 1) if raw[i] == 10]
+    cuts = sorted({newlines[i % len(newlines)] for i in picks}
+                  if newlines else ())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "firms.csv"
+        path.write_bytes(raw)
+        # the cuts that parse_firms would choose keep to their contract
+        with mock.patch.object(ingest, "MIN_CHUNK_BYTES", 1), \
+                mock.patch.object(os, "sched_getaffinity",
+                                  lambda pid: set(range(4)), create=True):
+            bounds = ingest._range_bounds(path, start, len(raw))
+        assert bounds[0] == start and bounds[-1] == len(raw)
+        inner = bounds[1:-1]
+        assert inner == sorted(set(inner))
+        for cut in inner:
+            assert start < cut < len(raw) and raw[cut - 1] == 10
+            assert raw.count(b'"', start, cut) % 2 == 0
+        # and any cuts at all give the one-range result or error
+        with mock.patch.object(ingest, "_range_bounds",
+                               lambda *args: [start, *cuts, len(raw)]):
+            got = _from_file(path, regions, sectors)
+    assert got == _serial(text, regions, sectors)
+
+
+@pytest.mark.parametrize("stray_row,evening_row", [(2, 12_000),
+                                                   (30_000, None)])
+def test_stray_quote_in_large_table_is_refused_by_line_when_split(
+        tmp_path, split, stray_row, evening_row):
+    # early, a literal quote in an unquoted field evens the quote count
+    # again, so there are cuts and the stray quote opens in the first
+    # range, parsed here; late, it opens in a child's range
+    rows = [f"F{i},R01,S01,{i},1\n" for i in range(40_000)]
+    rows[stray_row] = '"Open,R01,S01,1,1\n'
+    if evening_row is not None:
+        rows[evening_row] = 'F"x,R01,S01,1,1\n'
+    path = tmp_path / "firms.csv"
+    path.write_text(HEADER + "".join(rows), encoding="utf-8")
+    line = stray_row + 2
+    with pytest.raises(InputDataError,
+                       match=f"record from line {line}: field larger than"):
+        parse_firms(path, make_region_catalog(3), make_sector_catalog(3))
+    assert split and split[0] is None
+    _no_child_left()
+
+
+def test_interrupted_split_parse_leaves_no_child(tmp_path, split,
+                                                 monkeypatch):
+    path = tmp_path / "firms.csv"
+    path.write_text(HEADER + _rows_of_every_kind(900), encoding="utf-8")
+    parse_byte_range = ingest._parse_byte_range
+    parent = os.getpid()
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return parse_byte_range(*args)
+
+    monkeypatch.setattr(ingest, "_parse_byte_range", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        parse_firms(path, make_region_catalog(3), make_sector_catalog(3))
+    _no_child_left()
+
+
+def test_split_parse_imports_no_process_pool(tmp_path):
+    """The split forks by itself: neither ``import ecx`` nor a split
+    parse loads ``multiprocessing``."""
+    script = textwrap.dedent("""
+        import sys
+        import ecx
+        from ecx import ingest
+        assert "multiprocessing" not in sys.modules, "loaded by import ecx"
+        ingest.MIN_CHUNK_BYTES = 1
+        ingest.os.sched_getaffinity = lambda pid: {0, 1}
+        fixture = ecx.bundled_fixture_dir()
+        res = ingest.parse_firms(
+            fixture / "firms.csv",
+            ecx.RegionCatalog.from_csv(fixture / "regions.csv"),
+            ecx.SectorCatalog.from_csv(fixture / "sectors.csv"))
+        assert len(res.records) > 0
+        assert "multiprocessing" not in sys.modules, "loaded by parse_firms"
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(ingest.__file__).parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 MACRO_HEADER = "region_code,population,gross_product,income_per_person\n"

@@ -324,3 +324,57 @@ def test_stages_are_looked_up_by_name_at_call_time(tmp_path, monkeypatch):
     assert calls == {"eci": 1, "mst": 1}
     assert main(["eci", "--out", str(out)]) == 0
     assert calls == {"eci": 2, "mst": 1}
+
+
+def test_report_accepts_a_refit_that_correlate_never_read(tmp_path, capsys):
+    src = synth_inputs(tmp_path / "in")
+    out = tmp_path / "out"
+    assert main(["run", *run_args(src, out)]) == 0
+    assert main(["correlate", "--index", "eci", "--out", str(out)]) == 0
+    lineage = json.loads((out / "correlate_report.json").read_text())["lineage"]
+    assert "fitness.csv" not in lineage
+    fitness = (out / "fitness.csv").read_bytes()
+    assert main(["fitness", "--max-iter", "500", "--out", str(out)]) == 0
+    assert (out / "fitness.csv").read_bytes() != fitness
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0, capsys.readouterr().err
+
+
+def test_run_lineage_names_every_intermediate_a_stage_reads(tmp_path):
+    src = synth_inputs(tmp_path / "in")
+    out = tmp_path / "out"
+    assert main(["run", *run_args(src, out)]) == 0
+    catalogs = {"catalog_regions.csv", "catalog_sectors.csv"}
+    reads = {
+        "ingest": set(),
+        "matrix": {"sales.csv", *catalogs},
+        "eci": {"m.csv", *catalogs},
+        "fitness": {"m.csv", *catalogs},
+        "mst": {"m.csv", *catalogs},
+        "correlate": {"catalog_regions.csv", "macro.csv", "eci.csv",
+                      "fitness.csv"},
+    }
+    for stage, names in reads.items():
+        sidecar = json.loads((out / f"{stage}_report.json").read_text())
+        made = set(sidecar["files"]) | set(sidecar.get("intermediates", []))
+        assert set(sidecar["lineage"]) == names | made, stage
+
+
+@pytest.mark.parametrize("index", [[], ["--index", "eci"]])
+def test_power_fit_of_eci_is_refused_before_any_read(tmp_path, capsys,
+                                                     index):
+    # the output directory is empty: a read would fail otherwise
+    assert main(["correlate", *index, "--fit", "power",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "power fit" in err and "--index fitness" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_power_fit_of_fitness_runs(tmp_path):
+    src = synth_inputs(tmp_path / "in")
+    out = tmp_path / "out"
+    assert main(["run", *run_args(src, out)]) == 0
+    assert main(["correlate", "--index", "fitness", "--fit", "power",
+                 "--out", str(out)]) == 0
+    assert (out / "fit_fitness_income.csv").is_file()
