@@ -13,16 +13,27 @@ each cell's contributions in ascending-sales order, so the result is
 bit-identical under any permutation of the input rows; a cell whose sum
 overflows is refused by name.
 
-One loop, ``_parse_range``, parses a run of lines.  A file of at least
-two ``MIN_CHUNK_BYTES`` is cut at ``\\n`` bytes into one byte range per
-usable CPU (at most ``MAX_RANGES``), each cut where the quote bytes
-before it are even; forked children parse all ranges but the first,
-which this process parses, and the columns are joined in file order
-with each range's line numbers moved past the lines of the ranges
-before it.  If a range fails, or one but the last ends inside quotes
-(a quote inside an unquoted field can fool the parity), the whole file
-is parsed again in one range, whose result or error is the answer.  A
-stream, a smaller file or a single CPU is parsed in one range, in this
+One loop, ``_parse_range``, parses a run of lines, taking the stream's
+own lines (``readlines``) in blocks of about ``_BLOCK_CHARS`` characters.
+A few C-level passes over a block (comma counts, one ``split`` cut into
+field columns, ``dict.get`` over the codes, ``float`` over the sales,
+``isdecimal`` over the employee counts, numpy checks on the sales)
+vouch for its plain rows: four commas, codes that hit the catalog
+unstripped, finite sales >= 0 and fewer than 640 decimal digits of
+employees, which ``int`` takes under any digit limit.  Every other line,
+and every record that holds a quote, gets the one exact row verdict,
+whose reasons and their order are the contract; a quoted record may
+take lines past its block.  Accepted rows keep file order.
+
+A file of at least two ``MIN_CHUNK_BYTES`` is cut at ``\\n`` bytes into
+one byte range per usable CPU (at most ``MAX_RANGES``), each cut where
+the quote bytes before it are even; forked children parse all ranges
+but the first, which this process parses, and the columns are joined in
+file order with each range's line numbers moved past the lines of the
+ranges before it.  If a range fails, or one but the last ends inside
+quotes (a quote inside an unquoted field can fool the parity), the whole
+file is parsed again in one range, whose result or error is the answer.
+A stream, a smaller file or a single CPU is parsed in one range, in this
 process.
 """
 
@@ -36,6 +47,7 @@ import os
 import signal
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -53,12 +65,19 @@ MACRO_HEADER = ("region_code", "population", "gross_product", "income_per_person
 #: cutting a table in two paid for whole ``ecx run`` passes from 1 MiB
 #: (won 5 of 6 pairs of fresh processes), but a one-process chain of the
 #: seven stage subcommands over random economies lost at 3.6 MB (won 2
-#: of 6) and won at 5.2 MB (4 of 6), so no table under 4 MiB is cut
+#: of 6) and won at 5.2 MB (4 of 6), so no table under 4 MiB is cut.
+#: Those pairs were run with the per-line row loop, before the block
+#: check made the parse of a range cheaper
 MIN_CHUNK_BYTES = 2 << 20
 #: the most ranges, and so processes, one parse uses
 MAX_RANGES = 4
 #: bytes read at a time while placing the cuts between ranges
 _BLOCK_BYTES = 1 << 20
+#: characters of whole lines the row check takes at a time
+_BLOCK_CHARS = 1 << 14
+#: Python's lowest ``int_max_str_digits``: ``int`` takes any string of
+#: fewer decimal digits, whatever the interpreter's limit
+_INT_DIGITS = 640
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,20 +156,25 @@ def _split_csv_line(line: str) -> List[str]:
     return line.rstrip("\r\n").split(",")
 
 
-def _quoted_record(lineno: int, line: str, lines, ended: list) -> List[str]:
-    """Fields of the CSV record that starts with ``line``.
+def _quoted_record(lineno: int, line: str, lines,
+                   ended: list) -> Tuple[List[str], int]:
+    """Fields of the CSV record that starts with ``line``, and how many
+    lines it took from ``lines``.
 
     While a quoted field is still open at the end of a line, ``csv``
-    reads the next line from ``lines`` (the range's ``(line, number)``
-    pairs, so later rows keep their physical line numbers).  Returns no
-    fields, a malformed row, when the lines end inside the quotes, and
-    then appends to ``ended``.  A field beyond csv's size limit, such as
-    a stray quote that swallows the rest of a large file, is refused
-    with the line where it opened.
+    reads the next line from ``lines``.  Returns no fields, a malformed
+    row, when the lines end inside the quotes, and then appends to
+    ``ended``.  A field beyond csv's size limit, such as a stray quote
+    that swallows the rest of a large file, is refused with the line
+    where it opened.
     """
+    taken = 0
+
     def record_lines():
+        nonlocal taken
         yield line
-        for more, _ in lines:
+        for more in lines:
+            taken += 1
             yield more
         ended.append(True)
 
@@ -159,7 +183,7 @@ def _quoted_record(lineno: int, line: str, lines, ended: list) -> List[str]:
     except csv.Error as exc:
         raise InputDataError(
             f"firms table: record from line {lineno}: {exc}") from None
-    return [] if ended else fields
+    return ([] if ended else fields), taken
 
 
 class _Range(NamedTuple):
@@ -177,9 +201,80 @@ class _Range(NamedTuple):
     open_quote: bool        # the last record ran past the range's end
 
 
+def _floats(cells) -> array:
+    """``cells`` as floats, NaN where ``float`` refuses one; the cells
+    after a refused one are converted in one call again."""
+    out = array("d")
+    cells = iter(cells)
+    while True:
+        try:
+            out.extend(map(float, cells))
+            return out
+        except ValueError:
+            out.append(math.nan)
+
+
+def _plain_rows(lines: List[str], text: str, region: dict, sector: dict):
+    """Vouch for the rows among ``lines`` (joined, ``text``) that the
+    row verdict of ``_parse_range`` accepts as they stand, with C-level
+    passes over all of them at once.
+
+    A row is plain when it holds exactly four commas, no ``\\r`` and no
+    ``\\n`` but one that ends it, both codes hit ``region`` and
+    ``sector`` (codes equal to their own strip), its sales parse to a
+    finite value >= 0 and its employee count is decimal digits, fewer
+    than ``_INT_DIGITS`` of them.  Returns the region ids, sector ids and
+    sales of the plain rows in line order, and the indices of the other
+    lines.
+    """
+    n = len(lines)
+    counts = list(map(str.count, lines, repeat(",")))
+    candidate = None            # None: every line
+    # a text stream ends a line at each \n unless it ends lines at \r
+    # (or \r\n), and then every line but its last holds a \r
+    if (counts.count(4) != n or "\r" in text or text.count("\n") != n
+            or not text.endswith("\n")):
+        candidate = [c == 4 and "\r" not in line and "\n" not in line[:-1]
+                     for c, line in zip(counts, lines)]
+        text = "".join(itertools.compress(lines, candidate))
+    # a candidate's only \n ends it, so each gives five fields
+    fields = text.replace("\n", ",").split(",")
+    rid = array("q", map(region.get, fields[1::5], repeat(-1)))
+    sid = array("q", map(sector.get, fields[2::5], repeat(-1)))
+    sales = _floats(fields[3::5])
+    employees = fields[4::5]
+    r = np.frombuffer(rid, np.int64)
+    s = np.frombuffer(sid, np.int64)
+    x = np.frombuffer(sales)
+    plain_sales = np.isfinite(x) & (x >= 0)
+    if (candidate is None and r.min() >= 0 and s.min() >= 0
+            and plain_sales.all() and all(map(str.isdecimal, employees))
+            and max(map(len, employees)) < _INT_DIGITS):
+        return rid, sid, sales, []
+    plain = ((r >= 0) & (s >= 0) & plain_sales
+             & np.fromiter(map(str.isdecimal, employees), bool, len(r))
+             & (np.fromiter(map(len, employees), np.intp, len(r))
+                < _INT_DIGITS))
+    line_plain = plain
+    if candidate is not None:
+        line_plain = np.zeros(n, bool)
+        line_plain[np.flatnonzero(candidate)] = plain
+    return (array("q", r[plain].tobytes()), array("q", s[plain].tobytes()),
+            array("d", x[plain].tobytes()),
+            np.flatnonzero(~line_plain).tolist())
+
+
 def _parse_range(stream, region_id: dict, sector_id: dict) -> _Range:
-    """Parse the firm rows of a text stream that holds no header."""
-    isfinite = math.isfinite
+    """Parse the firm rows of a text stream that holds no header.
+
+    The stream's lines are taken about ``_BLOCK_CHARS`` at a time.  In a
+    block, ``_plain_rows`` vouches for the plain rows; every other line
+    goes through ``exact``, the row verdict, as does each record that
+    holds a quote, which may take lines past the block.
+    """
+    # a hit in these needed no strip
+    plain_region = {c: i for c, i in region_id.items() if c == c.strip()}
+    plain_sector = {c: i for c, i in sector_id.items() if c == c.strip()}
     # 8 bytes a row each, not a Python object per value
     rids = array("q")
     sids = array("q")
@@ -188,65 +283,98 @@ def _parse_range(stream, region_id: dict, sector_id: dict) -> _Range:
     reject = rejections.append
     zero_sales = 0
     open_quote: list = []
-    # the stream is drawn first, so after the loop the next number
-    # counts the lines read
-    numbers = itertools.count(2)
-    lines = zip(stream, numbers)
-    for line, lineno in lines:
-        if line.isspace():
-            continue
-        if '"' in line:
-            fields = _quoted_record(lineno, line, lines, open_quote)
-        else:
-            fields = line.rstrip("\r\n").split(",")
+    isfinite = math.isfinite
+    lineno = 2                  # the number of the next line
+
+    def exact(fields, number):
+        """Accept or reject a row's fields: the one row verdict."""
+        nonlocal zero_sales
         if len(fields) != 5:
-            reject(Rejection(lineno, "malformed row"))
-            continue
+            return reject(Rejection(number, "malformed row"))
         _, rcode, scode, sales_s, emp_s = fields
         rcode = rcode.strip()
         rid = region_id.get(rcode)
         if rid is None:
-            reject(Rejection(lineno, f"unknown region code {rcode!r}"))
-            continue
+            return reject(Rejection(number, f"unknown region code {rcode!r}"))
         scode = scode.strip()
         sid = sector_id.get(scode)
         if sid is None:
-            reject(Rejection(lineno, f"unknown sector code {scode!r}"))
-            continue
+            return reject(Rejection(number, f"unknown sector code {scode!r}"))
         sales_s = sales_s.strip()
         if not sales_s:
-            reject(Rejection(lineno, "missing sales"))
-            continue
+            return reject(Rejection(number, "missing sales"))
         emp_s = emp_s.strip()
         if not emp_s:
-            reject(Rejection(lineno, "missing employees"))
-            continue
+            return reject(Rejection(number, "missing employees"))
         try:
             sales = float(sales_s)
         except ValueError:
-            reject(Rejection(lineno, "invalid sales"))
-            continue
+            return reject(Rejection(number, "invalid sales"))
         if not isfinite(sales):
-            reject(Rejection(lineno, "invalid sales"))
-            continue
+            return reject(Rejection(number, "invalid sales"))
         if sales < 0:
-            reject(Rejection(lineno, "negative sales"))
-            continue
+            return reject(Rejection(number, "negative sales"))
         try:
             employees = int(emp_s)
         except ValueError:
-            reject(Rejection(lineno, "invalid employees"))
-            continue
+            return reject(Rejection(number, "invalid employees"))
         if employees < 0:
-            reject(Rejection(lineno, "negative employees"))
-            continue
+            return reject(Rejection(number, "negative employees"))
         if sales == 0.0:
             zero_sales += 1
         rids.append(rid)
         sids.append(sid)
         sales_col.append(sales)
+
+    def unquoted(lines, text):
+        """Take the next ``lines``, none of which holds a quote."""
+        nonlocal zero_sales, lineno
+        rid, sid, sales, others = _plain_rows(lines, text, plain_region,
+                                              plain_sector)
+        zero_sales += int(np.count_nonzero(np.frombuffer(sales) == 0))
+        done = 0                # plain rows appended
+        for k, i in enumerate(others):
+            # k other lines come before line i, and i - k plain rows
+            rids.extend(rid[done:i - k])
+            sids.extend(sid[done:i - k])
+            sales_col.extend(sales[done:i - k])
+            done = i - k
+            line = lines[i]
+            if not line.isspace():
+                exact(line.rstrip("\r\n").split(","), lineno + i)
+        rids.extend(rid[done:])
+        sids.extend(sid[done:])
+        sales_col.extend(sales[done:])
+        lineno += len(lines)
+
+    while True:
+        lines = stream.readlines(_BLOCK_CHARS)
+        if not lines:
+            break
+        text = "".join(lines)
+        if '"' not in text:
+            unquoted(lines, text)
+            continue
+        # line by line: the unquoted lines between two records that hold
+        # a quote are checked together, and a record takes the lines it
+        # needs, past the block's if it must
+        run = []
+        rest = iter(lines)
+        more = itertools.chain(rest, stream)
+        for line in rest:
+            if '"' not in line:
+                run.append(line)
+                continue
+            if run:
+                unquoted(run, "".join(run))
+                run = []
+            fields, taken = _quoted_record(lineno, line, more, open_quote)
+            exact(fields, lineno)
+            lineno += 1 + taken
+        if run:
+            unquoted(run, "".join(run))
     return _Range(rids, sids, sales_col, rejections, zero_sales,
-                  next(numbers) - 2, bool(open_quote))
+                  lineno - 2, bool(open_quote))
 
 
 class _ByteRange(io.RawIOBase):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Tuple
-from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
@@ -184,6 +183,10 @@ def export_tree(tree: SpanningTree, catalog, grouping: str,
         lines.append("}")
         return ("\n".join(lines) + "\n").encode("utf-8")
     if format == "graphml":
+        # imported here: it pulls in urllib.request, which ecx run never
+        # needs
+        from xml.sax.saxutils import escape, quoteattr
+
         out = [
             '<?xml version="1.0" encoding="UTF-8"?>',
             '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',

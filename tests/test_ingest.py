@@ -18,8 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_region_catalog, make_sector_catalog
-from ecx import (InputDataError, SectorCatalog, aggregate_sales, ingest,
-                 parse_firms, parse_macro)
+from ecx import (InputDataError, RegionCatalog, SectorCatalog,
+                 aggregate_sales, ingest, parse_firms, parse_macro)
+from ecx.catalogs import Region
 from ecx.matrixio import read_matrix_csv, write_matrix_csv
 from oracles import aggregate_sales_reference, parse_firms_reference
 
@@ -123,6 +124,20 @@ def test_unterminated_quote_at_end_of_file():
         (3, "malformed row")]
 
 
+@pytest.mark.parametrize("newline", ["\r", "\r\n"])
+def test_lines_end_where_the_stream_ends_them(newline):
+    # a stream that ends lines at \r keeps a \n inside its last line:
+    # its row's region code is the second comma field, S01
+    text = (HEADER.replace("\n", newline) + f"F1,R01,S01,2,2{newline}"
+            "F2\nR02,S01,3,3,3")
+    stream = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")),
+                              encoding="utf-8", newline=newline)
+    res = parse_firms(stream, make_region_catalog(3), make_sector_catalog(3))
+    assert _rows(res.records) == [("R01", "S01", (2.0).hex())]
+    assert [(r.line, r.reason) for r in res.rejections] == [
+        (3, "unknown region code 'S01'")]
+
+
 def test_stray_quote_in_large_table_is_refused_by_line():
     # the open quote swallows every later line into one field, which
     # outgrows csv's field_size_limit long before the end of the file
@@ -224,13 +239,26 @@ _MESSY_SECTORS = SectorCatalog.from_rows([
     ("S02", "Dropped", "Goods", 1),
     ("S03", "Kept too", "Services", 0),
 ])
-_SALES = ["0", "-0", "0.0", "1", "3", "1e16", "1e-300", "5e-324", "1e308",
-          "1.7976931348623157e308", "1_000", "2.5e-17"]
+_SALES = ["0", "-0", "0.0", "-0.0", "1", "3", "1e16", "1e-300", "5e-324",
+          "1e308", "1.7976931348623157e308", "1_000", "2.5e-17"]
 # sums that mix these magnitudes round differently in different orders
 _SUMMANDS = ["1", "1", "1e16", "0.1", "0.2", "0.3"]
-_BAD_SALES = ["", " ", "nan", "inf", "-inf", "ten", "-5", "1__0"]
-_EMPLOYEES = ["0", "7", " 12 ", "1_000", str(2 ** 63 + 1), str(10 ** 30)]
-_BAD_EMPLOYEES = ["", "-2", "two", "1.5"]
+_BAD_SALES = ["", " ", "nan", "inf", "-inf", "ten", "-5", "1__0", "1e400",
+              "infinity"]
+# int() takes a sign and any Unicode decimal digit; 640 digits and more
+# pass the block check to the exact one
+_EMPLOYEES = ["0", "7", " 12 ", "1_000", str(2 ** 63 + 1), str(10 ** 30),
+              "+5", "\u0663", "9" * 640]
+# beyond int()'s default limit of 4300 digits
+_BAD_EMPLOYEES = ["", "-2", "two", "1.5", "1" * 5000]
+# a region code with spaces around it never matches a stripped field
+_PADDED_REGIONS = RegionCatalog([Region(0, "R01", "Region 01", "Kanto"),
+                                 Region(1, "R02", "Region 02", "Kanto"),
+                                 Region(2, " R03 ", "Region 03", "Kansai")])
+_REGIONS = st.sampled_from([make_region_catalog(3), _PADDED_REGIONS])
+# blocks of the row check as short as a few characters end inside
+# quoted records, on blank lines and before a last line with no newline
+_BLOCK = st.sampled_from([ingest._BLOCK_CHARS, 1, 5, 17, 60])
 
 # each field is drawn with its (quoted, padding) style; padding outside
 # the quotes leaves the quotes in the field, so only messy rows get it
@@ -244,7 +272,7 @@ def _fields(style, *strategies):
 
 _FIRM_ID = st.text(alphabet='F1a ,"\n\r', max_size=4)
 _GOOD_ROW = _fields(
-    _STYLE, _FIRM_ID, st.sampled_from(["R01", "R01", "R02"]),
+    _STYLE, _FIRM_ID, st.sampled_from(["R01", "R01", "R02", "R03"]),
     st.sampled_from(["S01", "S01", "S02", "S03"]),
     st.one_of(st.sampled_from(_SUMMANDS), st.sampled_from(_SUMMANDS),
               st.sampled_from(_SALES),
@@ -290,19 +318,28 @@ def _messy_firm_table(draw):
                           or fields + (("extra", (False, 0)),))
             line = ",".join(_csv_field(*f) for f in fields)
         lines.append(line + draw(_ENDING))
+    if len(lines) > 1 and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
     return "".join(lines)
 
 
-@given(_messy_firm_table())
+@given(_messy_firm_table(), _REGIONS, _BLOCK)
 # in file order 1e16 + 1 + 1 rounds to 1e16, in sales order to 1e16 + 2
-@example(HEADER + "F1,R01,S01,1e16,1\r\nF2,R01,S01,1,1\nF3,R01,S01,1,1\n")
-@example(HEADER + '"Acme\nLtd",R01,S01,10,1\nF2,R99,S01,1,1\n')
-@example(HEADER + 'F1,R01,S01,10,1\n"Open,R01,S01,1,1\nF3,R01,S01,2,2\n')
+@example(HEADER + "F1,R01,S01,1e16,1\r\nF2,R01,S01,1,1\nF3,R01,S01,1,1\n",
+         make_region_catalog(3), ingest._BLOCK_CHARS)
+@example(HEADER + '"Acme\nLtd",R01,S01,10,1\nF2,R99,S01,1,1\n',
+         make_region_catalog(3), 5)
+@example(HEADER + 'F1,R01,S01,10,1\n"Open,R01,S01,1,1\nF3,R01,S01,2,2\n',
+         make_region_catalog(3), 1)
+# rows that the exact check refuses: a code that matches a padded
+# catalog code only unstripped, and a count of 5000 digits
+@example(HEADER + "F1, R03 ,S01,1,1\nF2,R01,S01,1," + "1" * 5000 + "\n",
+         _PADDED_REGIONS, ingest._BLOCK_CHARS)
 @settings(max_examples=100, deadline=None)
-def test_ingest_matches_reference(text):
-    regions = make_region_catalog(3)
+def test_ingest_matches_reference(text, regions, block):
     sectors = _MESSY_SECTORS
-    res = parse_firms(io.StringIO(text, newline=""), regions, sectors)
+    with mock.patch.object(ingest, "_BLOCK_CHARS", block):
+        res = parse_firms(io.StringIO(text, newline=""), regions, sectors)
     records, rejections, zero_sales = parse_firms_reference(
         text, regions.codes, sectors.codes)
     assert [(r.line, r.reason) for r in res.rejections] == rejections
@@ -452,15 +489,17 @@ def _split_body(draw):
         lines.append(line + draw(_SPLIT_ENDING))
     if draw(st.booleans()):
         lines.append('"Open at the end,R01,S01,1,1\n')
+    elif len(lines) > 1 and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
     return "".join(lines)
 
 
-@given(_split_body(), st.lists(st.integers(0, 1000), max_size=3))
+@given(_split_body(), st.lists(st.integers(0, 1000), max_size=3), _BLOCK)
 # the quote count is even inside "Acme\nLtd", where the cut falls
 @example(HEADER + 'F"1,R01,S01,1,1\n"Acme\nLtd",R01,S01,10,1\nF3,R01,S01,2,2\n',
-         [1])
+         [1], 5)
 @settings(max_examples=100, deadline=None)
-def test_split_parse_matches_serial_at_any_cuts(text, picks):
+def test_split_parse_matches_serial_at_any_cuts(text, picks, block):
     regions, sectors = make_region_catalog(3), _MESSY_SECTORS
     raw = text.encode("utf-8")
     start = len(HEADER)
@@ -484,7 +523,8 @@ def test_split_parse_matches_serial_at_any_cuts(text, picks):
             assert raw.count(b'"', start, cut) % 2 == 0
         # and any cuts at all give the one-range result or error
         with mock.patch.object(ingest, "_range_bounds",
-                               lambda *args: [start, *cuts, len(raw)]):
+                               lambda *args: [start, *cuts, len(raw)]), \
+                mock.patch.object(ingest, "_BLOCK_CHARS", block):
             got = _from_file(path, regions, sectors)
     assert got == _serial(text, regions, sectors)
 

@@ -1,6 +1,10 @@
 """Co-occurrence projections, similarity, and the spanning tree."""
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import ecx
 from conftest import binary, make_region_catalog
 from ecx import (DisconnectedGraphError, InputDataError, export_tree,
                  max_similarity_tree, project, similarity)
@@ -232,6 +237,20 @@ def test_export_graphml_is_well_formed():
     edges = root.findall(f"{ns}graph/{ns}edge")
     assert len(nodes) == 4
     assert len(edges) == 3
+
+
+def test_graphml_writer_is_imported_on_first_use():
+    """``xml.sax.saxutils`` pulls in ``urllib.request`` and
+    ``http.client``, which only a GraphML export needs."""
+    script = ("import sys, ecx.cli\n"
+              "assert 'xml.sax.saxutils' not in sys.modules\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(ecx.__file__).parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_export_csv_edge_list():
