@@ -246,12 +246,7 @@ def _plain_rows(lines: List[str], text: str, region: dict, sector: dict):
     r = np.frombuffer(rid, np.int64)
     s = np.frombuffer(sid, np.int64)
     x = np.frombuffer(sales)
-    plain_sales = np.isfinite(x) & (x >= 0)
-    if (candidate is None and r.min() >= 0 and s.min() >= 0
-            and plain_sales.all() and all(map(str.isdecimal, employees))
-            and max(map(len, employees)) < _INT_DIGITS):
-        return rid, sid, sales, []
-    plain = ((r >= 0) & (s >= 0) & plain_sales
+    plain = ((r >= 0) & (s >= 0) & np.isfinite(x) & (x >= 0)
              & np.fromiter(map(str.isdecimal, employees), bool, len(r))
              & (np.fromiter(map(len, employees), np.intp, len(r))
                 < _INT_DIGITS))

@@ -305,17 +305,21 @@ def _quote_open(text: str) -> bool:
 
 
 def parse_firms_reference(text: str, region_codes: Sequence[str],
-                          sector_codes: Sequence[str]):
+                          sector_codes: Sequence[str], newline=""):
     """Firm-table parse with one ``FirmRecord`` per accepted row.
 
     Applies the checks of ``ecx.ingest.parse_firms`` in the same order
     and returns (records, [(line, reason), ...], zero-sales count).  The
+    lines are those a UTF-8 text stream opened with ``newline`` reads.  The
     header is assumed valid and is skipped.  A record whose quoted field
-    spans lines takes the number of its first line.
+    spans lines takes the number of its first line; one that ``csv``
+    refuses raises ``ValueError("record from line N: ...")``.
     """
     regions, sectors = set(region_codes), set(sector_codes)
     records, rejections, zero_sales = [], [], 0
-    lines = enumerate(io.StringIO(text, newline="").readlines()[1:], start=2)
+    stream = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")),
+                              encoding="utf-8", newline=newline)
+    lines = enumerate(stream.readlines()[1:], start=2)
     for lineno, line in lines:
         if not line.strip():
             continue
@@ -327,10 +331,15 @@ def parse_firms_reference(text: str, region_codes: Sequence[str],
                 if more is None:
                     break
                 line += more[1]
+            # csv refuses a newline inside an unquoted field (read as
+            # the end of a line) before it sees whether the quotes close
+            try:
+                fields = next(csv.reader([line]))
+            except csv.Error as exc:
+                raise ValueError(f"record from line {lineno}: {exc}")
             if _quote_open(line):
                 rejections.append((lineno, "malformed row"))
                 continue
-            fields = next(csv.reader([line]))
         else:
             fields = line.rstrip("\r\n").split(",")
         if len(fields) != 5:

@@ -202,10 +202,8 @@ def _indices_or_none(pattern):
         return None
 
 
-# the assume discards degenerate spectra, at some seeds most draws
 @given(binary_pattern)
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.filter_too_much])
+@settings(max_examples=60, deadline=None)
 def test_standardization_moments(pattern):
     res = _indices_or_none(pattern)
     assume(res is not None)

@@ -124,20 +124,6 @@ def test_unterminated_quote_at_end_of_file():
         (3, "malformed row")]
 
 
-@pytest.mark.parametrize("newline", ["\r", "\r\n"])
-def test_lines_end_where_the_stream_ends_them(newline):
-    # a stream that ends lines at \r keeps a \n inside its last line:
-    # its row's region code is the second comma field, S01
-    text = (HEADER.replace("\n", newline) + f"F1,R01,S01,2,2{newline}"
-            "F2\nR02,S01,3,3,3")
-    stream = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")),
-                              encoding="utf-8", newline=newline)
-    res = parse_firms(stream, make_region_catalog(3), make_sector_catalog(3))
-    assert _rows(res.records) == [("R01", "S01", (2.0).hex())]
-    assert [(r.line, r.reason) for r in res.rejections] == [
-        (3, "unknown region code 'S01'")]
-
-
 def test_stray_quote_in_large_table_is_refused_by_line():
     # the open quote swallows every later line into one field, which
     # outgrows csv's field_size_limit long before the end of the file
@@ -286,6 +272,9 @@ _MESSY_ROW = _fields(
 _KIND = st.sampled_from(["row"] * 8 + ["messy", "blank", "count", "open"])
 _BLANK = st.sampled_from(["", "   ", "\t"])
 _ENDING = st.sampled_from(["\n", "\r\n"])
+# how the stream ends lines; a body whose line ends differ reads as
+# other lines, and one that ends lines at \r keeps a \n inside a line
+_NEWLINE = st.sampled_from(["", "", "\n", "\r", "\r\n", None])
 
 
 def _csv_field(text, style):
@@ -297,12 +286,12 @@ def _csv_field(text, style):
 
 @st.composite
 def _messy_firm_table(draw):
-    """CSV text with quoted and padded fields, newlines inside quotes,
-    blank lines, mixed line endings, unknown codes, an excluded sector,
-    wrong field counts, quotes left open (closed by a later line or by
-    the end of the file), and sales and employee counts that are valid,
-    invalid or extreme."""
-    lines = [HEADER]
+    """The body of a CSV table: quoted and padded fields, newlines
+    inside quotes, blank lines, mixed line endings, unknown codes, an
+    excluded sector, wrong field counts, quotes left open (closed by a
+    later line or by the end of the file), and sales and employee counts
+    that are valid, invalid or extreme."""
+    lines = []
     for _ in range(draw(st.integers(0, 60))):
         kind = draw(_KIND)
         if kind == "blank":
@@ -318,30 +307,48 @@ def _messy_firm_table(draw):
                           or fields + (("extra", (False, 0)),))
             line = ",".join(_csv_field(*f) for f in fields)
         lines.append(line + draw(_ENDING))
-    if len(lines) > 1 and draw(st.booleans()):
+    if lines and draw(st.booleans()):
         lines[-1] = lines[-1].rstrip("\r\n")
     return "".join(lines)
 
 
-@given(_messy_firm_table(), _REGIONS, _BLOCK)
+@given(_messy_firm_table(), _REGIONS, _BLOCK, _NEWLINE)
 # in file order 1e16 + 1 + 1 rounds to 1e16, in sales order to 1e16 + 2
-@example(HEADER + "F1,R01,S01,1e16,1\r\nF2,R01,S01,1,1\nF3,R01,S01,1,1\n",
-         make_region_catalog(3), ingest._BLOCK_CHARS)
-@example(HEADER + '"Acme\nLtd",R01,S01,10,1\nF2,R99,S01,1,1\n',
-         make_region_catalog(3), 5)
-@example(HEADER + 'F1,R01,S01,10,1\n"Open,R01,S01,1,1\nF3,R01,S01,2,2\n',
-         make_region_catalog(3), 1)
+@example("F1,R01,S01,1e16,1\r\nF2,R01,S01,1,1\nF3,R01,S01,1,1\n",
+         make_region_catalog(3), ingest._BLOCK_CHARS, "")
+@example('"Acme\nLtd",R01,S01,10,1\nF2,R99,S01,1,1\n',
+         make_region_catalog(3), 5, "")
+@example('F1,R01,S01,10,1\n"Open,R01,S01,1,1\nF3,R01,S01,2,2\n',
+         make_region_catalog(3), 1, "")
 # rows that the exact check refuses: a code that matches a padded
 # catalog code only unstripped, and a count of 5000 digits
-@example(HEADER + "F1, R03 ,S01,1,1\nF2,R01,S01,1," + "1" * 5000 + "\n",
-         _PADDED_REGIONS, ingest._BLOCK_CHARS)
+@example("F1, R03 ,S01,1,1\nF2,R01,S01,1," + "1" * 5000 + "\n",
+         _PADDED_REGIONS, ingest._BLOCK_CHARS, "")
+# a stream that ends lines at \r or \r\n keeps this \n inside the last
+# line, so its region code is the second comma field, S01
+@example("F1,R01,S01,2,2\rF2\nR02,S01,3,3,3", make_region_catalog(3),
+         ingest._BLOCK_CHARS, "\r")
+@example("F1,R01,S01,2,2\r\nF2\nR02,S01,3,3,3", make_region_catalog(3),
+         ingest._BLOCK_CHARS, "\r\n")
 @settings(max_examples=100, deadline=None)
-def test_ingest_matches_reference(text, regions, block):
+def test_ingest_matches_reference(body, regions, block, newline):
     sectors = _MESSY_SECTORS
+    # the header is one line only if it ends as the stream ends lines
+    text = HEADER.replace("\n", {None: "\n", "": "\n"}.get(newline, newline))
+    text += body
+    stream = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")),
+                              encoding="utf-8", newline=newline)
+    try:
+        expected = parse_firms_reference(text, regions.codes, sectors.codes,
+                                         newline)
+    except ValueError as exc:
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block), \
+                pytest.raises(InputDataError, match=re.escape(str(exc))):
+            parse_firms(stream, regions, sectors)
+        return
     with mock.patch.object(ingest, "_BLOCK_CHARS", block):
-        res = parse_firms(io.StringIO(text, newline=""), regions, sectors)
-    records, rejections, zero_sales = parse_firms_reference(
-        text, regions.codes, sectors.codes)
+        res = parse_firms(stream, regions, sectors)
+    records, rejections, zero_sales = expected
     assert [(r.line, r.reason) for r in res.rejections] == rejections
     assert res.zero_sales_count == zero_sales
     assert len(res.records) == len(records)
