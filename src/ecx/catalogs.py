@@ -98,6 +98,21 @@ def _read_rows(source: PathOrStream, required: Sequence[str], what: str):
             stream.close()
 
 
+def _check_code(kind: str, code: str) -> None:
+    """Refuse a code that a UTF-8 matrix CSV cannot carry."""
+    if "\r" in code:
+        # csv.writer with "\n" line ends leaves a lone "\r" unquoted
+        raise InputDataError(
+            f"{kind} code {code!r} holds a carriage return, "
+            "which a matrix CSV cannot carry")
+    try:
+        code.encode("utf-8")
+    except UnicodeEncodeError:
+        raise InputDataError(
+            f"{kind} code {code!r} is not valid UTF-8 (it holds a lone "
+            "surrogate), which a matrix CSV cannot carry") from None
+
+
 class RegionCatalog:
     """Ordered, dense-indexed collection of regions."""
 
@@ -111,10 +126,7 @@ class RegionCatalog:
         for i, r in enumerate(self.regions):
             if r.region_id != i:
                 raise InputDataError(f"region ids are not dense at {r.code!r}")
-            if "\r" in r.code:
-                raise InputDataError(
-                    f"region code {r.code!r} holds a carriage return, "
-                    "which a matrix CSV cannot carry")
+            _check_code("region", r.code)
             if r.super_region not in SUPER_REGIONS:
                 raise InputDataError(
                     f"unknown super_region {r.super_region!r} for {r.code!r}"
@@ -180,10 +192,7 @@ class SectorCatalog:
         for i, s in enumerate(self.sectors):
             if s.sector_id != i:
                 raise InputDataError(f"sector ids are not dense at {s.code!r}")
-            if "\r" in s.code:
-                raise InputDataError(
-                    f"sector code {s.code!r} holds a carriage return, "
-                    "which a matrix CSV cannot carry")
+            _check_code("sector", s.code)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "SectorCatalog":

@@ -33,15 +33,20 @@ from .pipeline import (INDICATORS, STAGE_TABLE, RunConfig, run_pipeline,
                        run_stage)
 from .synth import SHAPES, generate_synthetic, write_synthetic
 
-try:  # version of the installed distribution, if any
-    from importlib.metadata import PackageNotFoundError, version
 
-    try:
-        __version__ = version("ecx")
-    except PackageNotFoundError:
-        __version__ = "unknown"
-except ImportError:  # pragma: no cover
-    __version__ = "unknown"
+class _PrintVersion(argparse.Action):
+    """``--version``: the installed version is looked up only when asked
+    for, as ``importlib.metadata`` would add ~20 ms to every start."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from importlib.metadata import PackageNotFoundError, version
+
+        try:
+            found = version("ecx")
+        except PackageNotFoundError:
+            found = "unknown"
+        print(f"{parser.prog} {found}")
+        parser.exit()
 
 
 def _default_out() -> str:
@@ -73,8 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Economic-complexity analytics: RCA binarization, "
                     "eigenvector and fitness indices, similarity trees, "
                     "and macro correlations over region x sector data.")
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {__version__}")
+    parser.add_argument("--version", action=_PrintVersion, nargs=0,
+                        dest=argparse.SUPPRESS, default=argparse.SUPPRESS,
+                        help="show program's version number and exit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="parse and aggregate the input tables")

@@ -1,9 +1,17 @@
-"""Shared helpers for building small test matrices and catalogs."""
+"""Shared helpers for building small test matrices and catalogs, and for
+running a script in a fresh interpreter."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 
+import ecx
 from ecx import BinaryBipartiteMatrix, RegionCatalog, SectorCatalog
 
 
@@ -50,3 +58,16 @@ def fat_nested(n: int) -> np.ndarray:
     for i in range(n):
         m[i, : min(n, n - i + 1)] = 1
     return m
+
+
+def run_python(script: str, *args, **env) -> subprocess.CompletedProcess:
+    """Run the (dedented) ``script`` with ``args`` in a fresh interpreter
+    that imports this ``ecx`` and these test helpers; ``env`` adds to the
+    environment."""
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(ecx.__file__).parents[1]),
+                    str(Path(__file__).parent), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120)

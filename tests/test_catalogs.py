@@ -57,6 +57,18 @@ def test_code_with_carriage_return_rejected():
         SectorCatalog.from_csv(src)
 
 
+def test_code_with_lone_surrogate_rejected():
+    # UTF-8 cannot encode a lone surrogate, so no matrix CSV can hold it
+    with pytest.raises(InputDataError, match=r"region code 'R\\ud8001'.*"
+                                             "lone surrogate"):
+        RegionCatalog.from_rows([("AA", "A", "Kanto"),
+                                 ("R\ud8001", "B", "Kanto")])
+    with pytest.raises(InputDataError, match=r"sector code '\\udfff'.*"
+                                             "lone surrogate"):
+        SectorCatalog.from_rows([("01", "A", "Goods", 0),
+                                 ("\udfff", "B", "Goods", 0)])
+
+
 def test_unknown_super_region_rejected():
     with pytest.raises(InputDataError, match="super_region"):
         RegionCatalog.from_rows([("AA", "A", "Atlantis")])

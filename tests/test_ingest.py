@@ -4,10 +4,7 @@ import csv
 import io
 import os
 import re
-import subprocess
-import sys
 import tempfile
-import textwrap
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -17,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_region_catalog, make_sector_catalog
+from conftest import make_region_catalog, make_sector_catalog, run_python
 from ecx import (InputDataError, RegionCatalog, SectorCatalog,
                  aggregate_sales, ingest, parse_firms, parse_macro)
 from ecx.catalogs import Region
@@ -578,7 +575,7 @@ def test_interrupted_split_parse_leaves_no_child(tmp_path, split,
 def test_split_parse_imports_no_process_pool(tmp_path):
     """The split forks by itself: neither ``import ecx`` nor a split
     parse loads ``multiprocessing``."""
-    script = textwrap.dedent("""
+    script = """
         import sys
         import ecx
         from ecx import ingest
@@ -592,13 +589,8 @@ def test_split_parse_imports_no_process_pool(tmp_path):
             ecx.SectorCatalog.from_csv(fixture / "sectors.csv"))
         assert len(res.records) > 0
         assert "multiprocessing" not in sys.modules, "loaded by parse_firms"
-    """)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(ingest.__file__).parents[1]),
-                    env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    """
+    proc = run_python(script)
     assert proc.returncode == 0, proc.stderr
 
 

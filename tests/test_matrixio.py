@@ -62,26 +62,44 @@ def test_ordered_matrix_pbm_bytes(tmp_path):
 
 
 # codes with csv's special characters; the catalogs strip codes at the
-# ends and refuse one holding "\r", which csv.writer leaves unquoted
+# ends and refuse one holding "\r", which csv.writer leaves unquoted, or
+# a lone surrogate, which UTF-8 cannot encode
 _CODES = st.lists(
     st.text(st.one_of(st.characters(), st.sampled_from(',"\n\r\t ')),
             max_size=3),
     max_size=4, unique_by=str.strip)
 
 
+def _defect(code):
+    """Why a catalog refuses ``code``, or None."""
+    if "\r" in code:
+        return "carriage return"
+    try:
+        code.encode("utf-8")
+    except UnicodeEncodeError:
+        return "lone surrogate"
+    return None
+
+
 @given(_CODES, _CODES,
        st.lists(st.floats(allow_nan=False), min_size=16, max_size=16))
 @example(["a\rb", "c"], ["x"], [1.0] * 16)
+@example(["a"], ["x", "\ud800"], [1.0] * 16)
+@example(["\udfff\r"], ["\ud800"], [1.0] * 16)
 @settings(max_examples=150, deadline=None)
 def test_matrix_csv_round_trips_catalog_codes(tmp_path_factory, rcodes,
                                               scodes, cells):
+    refused = [c for c in (c.strip() for c in rcodes + scodes) if _defect(c)]
     try:
         regions = RegionCatalog.from_rows((c, "r", "Kanto") for c in rcodes)
         sectors = SectorCatalog.from_rows((c, "s", "Goods", 0) for c in scodes)
     except InputDataError as exc:
-        assert "carriage return" in str(exc)
-        assert any("\r" in c for c in rcodes + scodes)
+        # the first defective code is named, with its own defect
+        assert refused, exc
+        assert repr(refused[0]) in str(exc)
+        assert _defect(refused[0]) in str(exc)
         return
+    assert not refused
     values = np.array(cells[: len(regions) * len(sectors)]).reshape(
         len(regions), len(sectors))
     path = tmp_path_factory.mktemp("m") / "m.csv"

@@ -1,5 +1,6 @@
 """End-to-end pipeline behaviour through the command-line interface."""
 
+import importlib.metadata
 import json
 from collections import Counter
 
@@ -189,10 +190,14 @@ def test_ecx_out_env_default(tmp_path, monkeypatch):
 
 
 def test_version_flag(capsys):
+    try:
+        want = importlib.metadata.version("ecx")
+    except importlib.metadata.PackageNotFoundError:
+        want = "unknown"
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    assert "ecx" in capsys.readouterr().out
+    assert capsys.readouterr().out == f"ecx {want}\n"
 
 
 def test_fitness_ordered_exports(tmp_path):

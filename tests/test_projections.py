@@ -1,10 +1,6 @@
 """Co-occurrence projections, similarity, and the spanning tree."""
 
-import os
-import subprocess
-import sys
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import ecx
-from conftest import binary, make_region_catalog
+from conftest import binary, make_region_catalog, run_python
 from ecx import (DisconnectedGraphError, InputDataError, export_tree,
                  max_similarity_tree, project, similarity)
 from ecx.projections import SimilarityMatrix
@@ -244,12 +239,7 @@ def test_graphml_writer_is_imported_on_first_use():
     ``http.client``, which only a GraphML export needs."""
     script = ("import sys, ecx.cli\n"
               "assert 'xml.sax.saxutils' not in sys.modules\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(ecx.__file__).parents[1]),
-                    env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python(script)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -1,18 +1,11 @@
 """Correlations, log-space fits, quadrants, group averages, rank tools."""
 
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import binary, make_region_catalog
-import ecx
+from conftest import binary, make_region_catalog, run_python
 from ecx import (InputDataError, MacroIndicators, correlation_p_value,
                  degree_profile, fit_exponential, fit_power, pearson,
                  quadrants, rank_agreement, region_averages,
@@ -290,27 +283,38 @@ def test_rank_agreement_label_mismatch():
 
 
 def test_scipy_stats_stays_unimported(tmp_path):
-    """Only rank_agreement needs scipy.stats, and its import is heavy, so
-    neither ``import ecx`` nor a pipeline run may load it."""
-    script = textwrap.dedent("""
+    """scipy is imported on first use: ``import ecx.cli`` loads neither
+    scipy nor ``importlib.metadata``, a stage that makes no p-value loads
+    no scipy, and only rank_agreement needs the heavy ``scipy.stats``, so
+    a pipeline run does not load it."""
+    script = """
         import sys
-        import ecx
-        assert "scipy.stats" not in sys.modules, "loaded by import ecx"
+        import ecx.cli
+
+        def scipy_modules():
+            return [m for m in sys.modules
+                    if m == "scipy" or m.startswith("scipy.")]
+
+        assert not scipy_modules(), f"loaded by import ecx.cli: {scipy_modules()}"
+        assert "importlib.metadata" not in sys.modules, "loaded by import ecx.cli"
         fixture = ecx.bundled_fixture_dir()
+        staged = sys.argv[1] + "/staged"
+        assert ecx.cli.main([
+            "ingest", "--out", staged,
+            *(f"--{name}={fixture / name}.csv" for name in
+              ("firms", "regions", "sectors", "macro"))]) == 0
+        for stage in ("matrix", "eci"):
+            assert ecx.cli.main([stage, "--out", staged]) == 0
+        assert not scipy_modules(), f"loaded by ingest, matrix or eci: {scipy_modules()}"
         ecx.run_pipeline(ecx.RunConfig(
             sys.argv[1], *(fixture / f"{name}.csv" for name in
                            ("firms", "regions", "sectors", "macro"))))
         assert "scipy.stats" not in sys.modules, "loaded by run_pipeline"
-    """)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(ecx.__file__).parents[1]),
-                    env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
+    """
+    proc = run_python(script, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "report.json").is_file()
+    assert (tmp_path / "staged" / "eci.csv").is_file()
 
 
 def test_rank_of_ties_break_by_code():
