@@ -59,14 +59,6 @@ class ComplexityIndices:
     sector_pair: EigenPair
 
     @property
-    def second_eigenvalue_region(self) -> float:
-        return self.region_pair.eigenvalue
-
-    @property
-    def second_eigenvalue_sector(self) -> float:
-        return self.sector_pair.eigenvalue
-
-    @property
     def spectral_gap(self) -> float:
         """1 - λ2 of the region transition matrix."""
         return 1.0 - self.region_pair.eigenvalue

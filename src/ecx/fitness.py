@@ -16,7 +16,7 @@ concentrates on one dominant row drive the other fitness values to zero
 geometrically — the step-to-step changes then shrink below any tol even
 though the values keep sliding toward 0.  The ``converged`` verdict
 therefore requires both that the stop rule fired and that min(fitness)
-stayed above ``collapse_floor``.
+stayed above ``COLLAPSE_FLOOR``.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ def _step(values: np.ndarray, f: np.ndarray,
 
 def fitness_complexity(m: BinaryBipartiteMatrix, tol: float = DEFAULT_TOL,
                        max_iter: int = DEFAULT_MAX_ITER, *,
-                       collapse_floor: float = COLLAPSE_FLOOR,
                        f0: np.ndarray = None,
                        q0: np.ndarray = None) -> FitnessResult:
     """Run the coupled iteration from F = Q = 1 (or given start vectors).
@@ -119,7 +118,7 @@ def fitness_complexity(m: BinaryBipartiteMatrix, tol: float = DEFAULT_TOL,
         if delta < tol:
             stopped = True
             break
-    converged = stopped and float(f.min()) > collapse_floor
+    converged = stopped and float(f.min()) > COLLAPSE_FLOOR
     return FitnessResult(
         fitness=f, complexity=q, iterations=iterations, converged=converged,
         trace=tuple(trace), tol=tol,

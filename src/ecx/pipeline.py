@@ -146,13 +146,18 @@ def _load_binary(out_dir) -> BinaryBipartiteMatrix:
     )
 
 
-def _read_indexed(path, value_col: int = 1) -> Dict[str, float]:
+def _read_indexed(path) -> Dict[str, float]:
     values: Dict[str, float] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        next(reader, None)
         for row in reader:
-            values[row[0]] = float(row[value_col])
+            try:
+                values[row[0]] = float(row[1])
+            except (IndexError, ValueError):
+                raise InputDataError(
+                    f"{path}: line {reader.line_num}: expected a code "
+                    f"and a number, got {row!r}") from None
     return values
 
 

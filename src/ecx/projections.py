@@ -16,6 +16,8 @@ array work.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -159,6 +161,12 @@ def _group_lookup(catalog, grouping: str):
     return names, groups
 
 
+def _dot_string(text: str) -> str:
+    """``text`` as a DOT quoted string, with its backslashes and quotes
+    escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_tree(tree: SpanningTree, catalog, grouping: str,
                 format: str = "dot") -> bytes:
     """Serialize the tree with per-node ``label``/``group`` attributes.
@@ -173,13 +181,13 @@ def export_tree(tree: SpanningTree, catalog, grouping: str,
         if c not in names:
             raise InputDataError(f"missing group mapping for {c!r}")
     if format == "dot":
+        q = _dot_string
         lines = ["graph tree {"]
         for c in nodes:
-            lines.append(
-                f'  "{c}" [label="{names[c]}", group="{groups[c]}"];'
-            )
+            lines.append(f"  {q(c)} [label={q(names[c])}, "
+                         f"group={q(groups[c])}];")
         for a, b, wt in tree.edges:
-            lines.append(f'  "{a}" -- "{b}" [weight={fmt_float(wt)}];')
+            lines.append(f"  {q(a)} -- {q(b)} [weight={fmt_float(wt)}];")
         lines.append("}")
         return ("\n".join(lines) + "\n").encode("utf-8")
     if format == "graphml":
@@ -207,7 +215,9 @@ def export_tree(tree: SpanningTree, catalog, grouping: str,
         out.extend(["  </graph>", "</graphml>"])
         return ("\n".join(out) + "\n").encode("utf-8")
     if format == "csv":
-        lines = ["node_a,node_b,similarity"]
-        lines.extend(f"{a},{b},{fmt_float(wt)}" for a, b, wt in tree.edges)
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        fh = io.StringIO(newline="")
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(("node_a", "node_b", "similarity"))
+        w.writerows((a, b, fmt_float(wt)) for a, b, wt in tree.edges)
+        return fh.getvalue().encode("utf-8")
     raise InputDataError(f"unknown format {format!r}")

@@ -10,9 +10,19 @@ import textwrap
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 import ecx
 from ecx import BinaryBipartiteMatrix, RegionCatalog, SectorCatalog
+
+
+# codes with csv's special characters; the catalogs strip codes at the
+# ends and refuse one holding "\r", which csv.writer leaves unquoted, or
+# a lone surrogate, which UTF-8 cannot encode
+CATALOG_CODES = st.lists(
+    st.text(st.one_of(st.characters(), st.sampled_from(',"\n\r\t ')),
+            max_size=3),
+    max_size=4, unique_by=str.strip)
 
 
 def region_codes(n):

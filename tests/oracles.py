@@ -4,11 +4,12 @@ Everything here deliberately avoids the code paths (and where possible
 the libraries) used by the package itself: eigenpairs come from a
 hand-rolled cyclic Jacobi rotation solver instead of LAPACK, spanning
 trees from exhaustive Prüfer-sequence enumeration (and their edge
-order from a rescan of every tree/outside pair), p-values from
-adaptive quadrature of the Student-t density at 40 significant digits,
-line fits from the textbook normal-equation formulas, the fitness
-map from an extended-precision mpmath iteration, and firm-table ingest
-from one record object per row summed in a sorted tuple order.
+order from a rescan of every tree/outside pair), p-values from mpmath's
+hypergeometric incomplete beta at 60 significant digits, Kendall's tau-b
+from a count over every pair, line fits from the textbook
+normal-equation formulas, the fitness map from an extended-precision
+mpmath iteration, and firm-table ingest from one record object per row
+summed in a sorted tuple order.
 """
 
 from __future__ import annotations
@@ -190,21 +191,37 @@ def max_similarity_tree_reference(theta):
 
 # ----------------------------------------------------------- p-values
 
-def p_two_sided(r: float, n: int, dps: int = 40) -> float:
-    """Two-sided Pearson p-value by quadrature of the t density."""
+def p_two_sided(r: float, n: int, dps: int = 60) -> float:
+    """Two-sided Pearson p-value, I_{1-r²}((n-2)/2, 1/2), in mpmath.
+
+    ``r`` enters as its exact binary value, not its shortest decimal:
+    near |r| = 1 the two differ in 1 - r² by far more than the 1e-9 the
+    tests hold the program to.
+    """
     from mpmath import mp
 
     with mp.workdps(dps):
-        df = mp.mpf(n - 2)
-        rr = mp.mpf(repr(r))
-        t = abs(rr) * mp.sqrt(df / (1 - rr * rr))
-        c = mp.gamma((df + 1) / 2) / (mp.sqrt(df * mp.pi) * mp.gamma(df / 2))
+        r = mp.mpf(r)
+        return float(mp.betainc(mp.mpf(n - 2) / 2, mp.mpf(1) / 2, 0, 1 - r * r,
+                                regularized=True))
 
-        def density(x):
-            return c * (1 + x * x / df) ** (-(df + 1) / 2)
 
-        tail = mp.quad(density, [t, mp.inf])
-        return float(2 * tail)
+def kendall_tau_b(a: Sequence[float], b: Sequence[float]) -> float:
+    """Kendall's tau-b, (concordant - discordant) / sqrt((n0 - ties in a)
+    (n0 - ties in b)), counted over every unordered pair; NaN when either
+    side is constant."""
+    concordant = discordant = ties_a = ties_b = pairs = 0
+    for i, j in itertools.combinations(range(len(a)), 2):
+        pairs += 1
+        da, db = a[i] - a[j], b[i] - b[j]
+        ties_a += da == 0
+        ties_b += db == 0
+        concordant += da * db > 0
+        discordant += da * db < 0
+    denominator = (pairs - ties_a) * (pairs - ties_b)
+    if denominator == 0:
+        return math.nan
+    return (concordant - discordant) / math.sqrt(denominator)
 
 
 # ------------------------------------------------------------- fitting

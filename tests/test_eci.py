@@ -49,8 +49,8 @@ def test_indices_worked_example():
     res = compute_indices(binary(NESTED_2))
     assert res.eci == pytest.approx([1.0, -1.0], abs=1e-12)
     assert res.pci == pytest.approx([-1.0, 1.0], abs=1e-12)
-    assert res.second_eigenvalue_region == pytest.approx(0.25, abs=1e-12)
-    assert res.second_eigenvalue_sector == pytest.approx(0.25, abs=1e-12)
+    assert res.region_pair.eigenvalue == pytest.approx(0.25, abs=1e-12)
+    assert res.sector_pair.eigenvalue == pytest.approx(0.25, abs=1e-12)
     assert res.spectral_gap == pytest.approx(0.75, abs=1e-12)
 
 
@@ -130,7 +130,7 @@ def _random_nondegenerate(p, s, seed):
 def test_matches_independent_solver(p, s, seed):
     m, res = _random_nondegenerate(p, s, seed)
     lam, z = eci_oracle(m)
-    assert res.second_eigenvalue_region == pytest.approx(lam, abs=1e-10)
+    assert res.region_pair.eigenvalue == pytest.approx(lam, abs=1e-10)
     sign = 1.0 if np.dot(z, res.eci) >= 0 else -1.0
     assert np.allclose(res.eci, sign * z, atol=1e-8)
 

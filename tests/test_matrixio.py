@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import CATALOG_CODES
 from ecx import InputDataError, RegionCatalog, SectorCatalog
 from ecx.fitness import OrderedMatrixView
 from ecx.matrixio import (fmt_float, read_matrix_csv, write_csv,
@@ -61,15 +62,6 @@ def test_ordered_matrix_pbm_bytes(tmp_path):
         matrix, view.row_codes, view.col_codes, "region_code", True)
 
 
-# codes with csv's special characters; the catalogs strip codes at the
-# ends and refuse one holding "\r", which csv.writer leaves unquoted, or
-# a lone surrogate, which UTF-8 cannot encode
-_CODES = st.lists(
-    st.text(st.one_of(st.characters(), st.sampled_from(',"\n\r\t ')),
-            max_size=3),
-    max_size=4, unique_by=str.strip)
-
-
 def _defect(code):
     """Why a catalog refuses ``code``, or None."""
     if "\r" in code:
@@ -81,7 +73,7 @@ def _defect(code):
     return None
 
 
-@given(_CODES, _CODES,
+@given(CATALOG_CODES, CATALOG_CODES,
        st.lists(st.floats(allow_nan=False), min_size=16, max_size=16))
 @example(["a\rb", "c"], ["x"], [1.0] * 16)
 @example(["a"], ["x", "\ud800"], [1.0] * 16)

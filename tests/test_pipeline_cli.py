@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ecx import bundled_fixture_dir, pipeline
+from ecx import InputDataError, bundled_fixture_dir, pipeline
 from ecx.cli import main
 from ecx.matrixio import read_matrix_csv
 
@@ -181,6 +181,27 @@ def test_bad_threshold_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["ingest", *run_args(src, out)]) == 0
     assert main(["matrix", "--threshold", "-1", "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("row", ["R04,abc,4", "R04"],
+                         ids=["non-numeric", "short-row"])
+def test_malformed_index_table_exits_2(tmp_path, capsys, row):
+    src = synth_inputs(tmp_path / "in")
+    out = tmp_path / "out"
+    for stage in (["ingest", *run_args(src, out)],
+                  ["matrix", "--out", str(out)],
+                  ["eci", "--out", str(out)]):
+        assert main(stage) == 0
+    lines = (out / "eci.csv").read_text().splitlines()
+    lines[4] = row
+    (out / "eci.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["correlate", "--index", "eci", "--out", str(out)]) == 2
+    assert "eci.csv: line 5: expected a code and a number" in \
+        capsys.readouterr().err
+    # report checks lineage first; its summary tables read eci.csv alike
+    with pytest.raises(InputDataError, match="eci.csv: line 5"):
+        pipeline.write_summary_tables(pipeline.RunConfig(out))
 
 
 def test_ecx_out_env_default(tmp_path, monkeypatch):

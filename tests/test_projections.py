@@ -1,16 +1,20 @@
 """Co-occurrence projections, similarity, and the spanning tree."""
 
+import csv
+import io
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import binary, make_region_catalog, run_python
-from ecx import (DisconnectedGraphError, InputDataError, export_tree,
-                 max_similarity_tree, project, similarity)
+from conftest import CATALOG_CODES, binary, make_region_catalog, run_python
+from ecx import (DisconnectedGraphError, InputDataError, RegionCatalog,
+                 export_tree, max_similarity_tree, project, similarity)
+from ecx.matrixio import fmt_float
 from ecx.projections import SimilarityMatrix
 from oracles import max_similarity_tree_reference
 
@@ -250,6 +254,41 @@ def test_export_csv_edge_list():
     assert lines[0] == "node_a,node_b,similarity"
     assert lines[1] == "R01,R02,0.9"
     assert len(lines) == 4
+
+
+# a DOT quoted string, whose only escapes are \\ and \"
+DOT_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"', re.DOTALL)
+
+
+@given(CATALOG_CODES)
+@example(['R,"01', "R02", "a\\b", 'c\\"'])
+@settings(max_examples=150, deadline=None)
+def test_tree_exports_read_back_any_catalog_code(codes):
+    try:
+        catalog = RegionCatalog.from_rows(
+            (c, f'"{c}" \\', "Kanto") for c in codes)
+    except InputDataError:
+        return      # test_matrixio checks which codes a catalog refuses
+    n = len(catalog)
+    assume(n >= 2)
+    values = np.fromfunction(lambda i, j: 1.0 / (1.0 + abs(i - j)), (n, n))
+    tree = max_similarity_tree(_theta(values, catalog.codes))
+    edges = [(a, b, fmt_float(wt)) for a, b, wt in tree.edges]
+
+    data = export_tree(tree, catalog, "super_region", "csv").decode("utf-8")
+    assert list(csv.reader(io.StringIO(data, newline=""))) == [
+        ["node_a", "node_b", "similarity"], *map(list, edges)]
+
+    data = export_tree(tree, catalog, "super_region", "dot").decode("utf-8")
+    assert DOT_STRING.sub("Q", data) == "".join([
+        "graph tree {\n", "  Q [label=Q, group=Q];\n" * n,
+        *(f"  Q -- Q [weight={wt}];\n" for _, _, wt in edges), "}\n"])
+    strings = [re.sub(r"\\(.)", r"\1", text, flags=re.DOTALL)
+               for text in DOT_STRING.findall(data)]
+    assert strings == [
+        *(v for c in sorted(catalog.codes)
+          for v in (c, catalog[c].name, catalog[c].super_region)),
+        *(c for a, b, _ in edges for c in (a, b))]
 
 
 def test_export_rejects_unknown_pieces():

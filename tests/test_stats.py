@@ -1,5 +1,8 @@
 """Correlations, log-space fits, quadrants, group averages, rank tools."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,17 +14,52 @@ from ecx import (InputDataError, MacroIndicators, correlation_p_value,
                  quadrants, rank_agreement, region_averages,
                  residual_ranking)
 from ecx.stats import MIN_P, QUADRANT_NAMES, rank_of
-from oracles import exp_fit_oracle, p_two_sided, power_fit_oracle
+from oracles import (exp_fit_oracle, kendall_tau_b, p_two_sided,
+                     power_fit_oracle)
 
 
 # --- p-values ---------------------------------------------------------
 
+def _assert_exact_p(r, n):
+    got = correlation_p_value(r, n)
+    want = p_two_sided(r, n)
+    if want >= sys.float_info.min:
+        assert got == pytest.approx(want, rel=1e-9, abs=0)
+    else:
+        # below the normal range a double holds fewer digits, so allow one
+        # step of the subnormal spacing; p never rounds to 0
+        assert got >= MIN_P
+        assert got == pytest.approx(max(want, MIN_P), rel=1e-9, abs=MIN_P)
+
+
 @pytest.mark.parametrize("n", [7, 47, 102])          # df = 5, 45, 100
 @pytest.mark.parametrize("r", [0.05, 0.3, 0.661, -0.82, 0.95])
 def test_p_value_matches_quadrature_oracle(r, n):
-    got = correlation_p_value(r, n)
-    want = p_two_sided(r, n)
-    assert got == pytest.approx(want, rel=1e-9)
+    _assert_exact_p(r, n)
+
+
+@given(st.floats(-15.0, -3.0), st.integers(3, 5000), st.sampled_from([-1, 1]))
+@settings(max_examples=150, deadline=None)
+def test_p_value_exact_near_one(log_gap, n, sign):
+    # 1 - r*r cancels here unless it is taken as (1 - |r|)(1 + |r|)
+    _assert_exact_p(sign * (1.0 - 10.0 ** log_gap), n)
+
+
+@given(st.floats(-10.0, -1.0), st.integers(3, 5000), st.sampled_from([-1, 1]))
+@settings(max_examples=150, deadline=None)
+def test_p_value_exact_near_zero(log_r, n, sign):
+    # x = df/(df+t²) = 1 - r² rounds toward 1 here, so 1 - x is taken as r²
+    _assert_exact_p(sign * 10.0 ** log_r, n)
+
+
+@pytest.mark.parametrize("r", [1e-9, 0.3, -0.75, 1 - 2.0 ** -40])
+def test_p_value_closed_forms(r):
+    """df = 1 and df = 2 have closed forms, which check the program and
+    the oracle alike."""
+    for n, want in ((3, 2.0 / math.pi * math.acos(abs(r))),
+                    (4, 1.0 - abs(r))):
+        assert correlation_p_value(r, n) == pytest.approx(want, rel=1e-12)
+        assert p_two_sided(r, n) == pytest.approx(want, rel=1e-12)
 
 
 def test_p_value_extremes():
@@ -282,39 +320,61 @@ def test_rank_agreement_label_mismatch():
         rank_agreement({"x": 1, "y": 2}, {"x": 1, "q": 2})
 
 
-def test_scipy_stats_stays_unimported(tmp_path):
-    """scipy is imported on first use: ``import ecx.cli`` loads neither
-    scipy nor ``importlib.metadata``, a stage that makes no p-value loads
-    no scipy, and only rank_agreement needs the heavy ``scipy.stats``, so
-    a pipeline run does not load it."""
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_rank_agreement_matches_pairwise_tau_b(pairs):
+    a = {f"L{i}": x for i, (x, _) in enumerate(pairs)}
+    b = {f"L{i}": y for i, (_, y) in enumerate(pairs)}
+    tau, table = rank_agreement(a, b)
+    want = kendall_tau_b([r[1] for r in table], [r[2] for r in table])
+    if math.isnan(want):                  # one side has no untied pair
+        assert math.isnan(tau)
+    else:
+        assert tau == pytest.approx(want, rel=0, abs=1e-15)
+
+
+def test_commands_run_with_scipy_blocked(tmp_path):
+    """ecx needs numpy and the standard library alone: with every scipy
+    import refused, the staged chain, ``run_pipeline``, rank agreement
+    and ``--version`` all succeed, and ``import ecx.cli`` still leaves
+    ``importlib.metadata`` unloaded."""
     script = """
         import sys
+
+        class RefuseScipy:
+            def find_spec(self, name, path=None, target=None):
+                if name == "scipy" or name.startswith("scipy."):
+                    raise ImportError(f"{name} is blocked")
+
+        sys.meta_path.insert(0, RefuseScipy())
         import ecx.cli
 
-        def scipy_modules():
-            return [m for m in sys.modules
-                    if m == "scipy" or m.startswith("scipy.")]
-
-        assert not scipy_modules(), f"loaded by import ecx.cli: {scipy_modules()}"
         assert "importlib.metadata" not in sys.modules, "loaded by import ecx.cli"
         fixture = ecx.bundled_fixture_dir()
+        inputs = [fixture / f"{name}.csv"
+                  for name in ("firms", "regions", "sectors", "macro")]
         staged = sys.argv[1] + "/staged"
-        assert ecx.cli.main([
-            "ingest", "--out", staged,
-            *(f"--{name}={fixture / name}.csv" for name in
-              ("firms", "regions", "sectors", "macro"))]) == 0
-        for stage in ("matrix", "eci"):
-            assert ecx.cli.main([stage, "--out", staged]) == 0
-        assert not scipy_modules(), f"loaded by ingest, matrix or eci: {scipy_modules()}"
-        ecx.run_pipeline(ecx.RunConfig(
-            sys.argv[1], *(fixture / f"{name}.csv" for name in
-                           ("firms", "regions", "sectors", "macro"))))
-        assert "scipy.stats" not in sys.modules, "loaded by run_pipeline"
+        for stage in (["ingest", *(f"--{p.stem}={p}" for p in inputs)],
+                      ["matrix"], ["eci"], ["fitness"], ["mst"], ["correlate"],
+                      ["report", "--summary", "--highlight", "R01"]):
+            assert ecx.cli.main([*stage, "--out", staged]) == 0, stage
+        ecx.run_pipeline(ecx.RunConfig(sys.argv[1], *inputs))
+        tau, _ = ecx.rank_agreement({"a": 1, "b": 2, "c": 3},
+                                    {"a": 1, "b": 3, "c": 2})
+        assert abs(tau - 1 / 3) < 1e-15, tau
+        try:
+            ecx.cli.main(["--version"])
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
+        loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+        assert not loaded, loaded
     """
     proc = run_python(script, tmp_path)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("ecx ")
     assert (tmp_path / "report.json").is_file()
-    assert (tmp_path / "staged" / "eci.csv").is_file()
+    assert (tmp_path / "staged" / "regions.csv").is_file()
 
 
 def test_rank_of_ties_break_by_code():
