@@ -42,8 +42,9 @@ from .errors import EcxError, InputDataError
 from .ingest import (MACRO_HEADER, MacroIndicators, aggregate_sales,
                      parse_firms, parse_macro)
 from .ingest import SalesMatrix
-from .matrixio import (fmt_float, read_json, read_matrix_csv, replacing,
-                       write_csv, write_json, write_matrix_csv)
+from .matrixio import (binary_cells, bit_rows, fmt_float, read_json,
+                       read_matrix_csv, replacing, write_csv, write_json,
+                       write_matrix_csv)
 from .projections import export_tree, max_similarity_tree, project, similarity
 from .rca import BinaryBipartiteMatrix, binarize, compute_rca, degree_profile
 from .stats import (fit_exponential, fit_power, pearson, quadrants,
@@ -135,9 +136,7 @@ def _subset_by_codes(catalog, codes, what: str):
 
 def _load_binary(out_dir) -> BinaryBipartiteMatrix:
     values, rcodes, scodes = read_matrix_csv(_need(out_dir, "m.csv", "matrix"))
-    ints = values.astype(np.int64)
-    if not np.array_equal(ints, values) or np.any((ints != 0) & (ints != 1)):
-        raise InputDataError("m.csv must contain only 0/1 entries")
+    ints = binary_cells(values, "m.csv").astype(np.int64)
     regions, sectors = _load_catalogs(out_dir)
     return BinaryBipartiteMatrix(
         ints,
@@ -227,7 +226,7 @@ def stage_matrix(cfg: RunConfig) -> dict:
     write_matrix_csv(out / "rca.csv", rca.values, rca.regions.codes,
                      rca.sectors.codes)
     write_matrix_csv(out / "m.csv", m.values, m.regions.codes,
-                     m.sectors.codes, integer=True)
+                     m.sectors.codes, binary=True)
     ones = int(m.values.sum())
     return {
         "files": ["rca.csv", "m.csv"],
@@ -272,12 +271,12 @@ def write_ordered_matrix(out_dir, view) -> List[str]:
     """Ordered 0/1 matrix as CSV plus a PBM ("P1") bitmap."""
     out = Path(out_dir)
     write_matrix_csv(out / "ordered_matrix.csv", view.matrix,
-                     view.row_codes, view.col_codes, integer=True)
+                     view.row_codes, view.col_codes, binary=True)
     h, w = view.matrix.shape
     with replacing(out / "ordered_matrix.pbm") as fh:
         fh.write(f"P1\n{w} {h}\n")
-        fh.writelines(" ".join(map(str, row.tolist())) + "\n"
-                      for row in view.matrix.astype(np.int64, copy=False))
+        fh.writelines(" ".join(row) + "\n"
+                      for row in bit_rows(view.matrix, "ordered matrix"))
     return ["ordered_matrix.csv", "ordered_matrix.pbm"]
 
 

@@ -8,8 +8,9 @@ order from a rescan of every tree/outside pair), p-values from mpmath's
 hypergeometric incomplete beta at 60 significant digits, Kendall's tau-b
 from a count over every pair, line fits from the textbook
 normal-equation formulas, the fitness map from an extended-precision
-mpmath iteration, and firm-table ingest from one record object per row
-summed in a sorted tuple order.
+mpmath iteration, firm-table ingest from one record object per row
+summed in a sorted tuple order, and matrix CSV reads from one ``csv``
+record and one ``float()`` per cell.
 """
 
 from __future__ import annotations
@@ -417,3 +418,42 @@ def aggregate_sales_reference(records, region_codes: Sequence[str],
     for i, j, sales, _ in keyed:
         cells[i][j] += sales
     return np.array(cells, dtype=np.float64)
+
+
+# ------------------------------------------------------------ matrix CSV
+
+def read_matrix_reference(path):
+    """Matrix CSV read one ``csv`` record and one ``float()`` per cell.
+
+    Returns (values, row_codes, col_codes) as ``ecx.matrixio.
+    read_matrix_csv`` does; blank records are skipped, and a row with the
+    wrong field count or a cell ``float()`` refuses raises
+    ``InputDataError``.  ``float()`` also takes ``1_000`` and non-ASCII
+    digits, which ``read_matrix_csv`` refuses.
+    """
+    from ecx import InputDataError
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InputDataError(f"{path}: empty matrix file") from None
+        col_codes = tuple(header[1:])
+        row_codes = []
+        rows = []
+        for rec in reader:
+            if not rec:
+                continue
+            if len(rec) != len(col_codes) + 1:
+                raise InputDataError(
+                    f"{path}: row {len(rows) + 2} has {len(rec)} fields, "
+                    f"expected {len(col_codes) + 1}"
+                )
+            row_codes.append(rec[0])
+            try:
+                rows.append([float(v) for v in rec[1:]])
+            except ValueError as exc:
+                raise InputDataError(f"{path}: {exc}") from None
+    values = np.array(rows, dtype=float) if rows else np.empty((0, len(col_codes)))
+    return values, tuple(row_codes), col_codes

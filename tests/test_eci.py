@@ -108,7 +108,7 @@ def test_module_ring_cli_exits_3(tmp_path, capsys):
         rows = iter(catalog.to_csv_rows())
         write_csv(tmp_path / name, next(rows), rows)
     write_matrix_csv(tmp_path / "m.csv", m.values, m.regions.codes,
-                     m.sectors.codes, integer=True)
+                     m.sectors.codes, binary=True)
     assert main(["eci", "--out", str(tmp_path)]) == 3
     assert "degenerate spectrum" in capsys.readouterr().err
     assert not (tmp_path / "eci.csv").exists()

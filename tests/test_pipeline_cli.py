@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import run_python
 from ecx import InputDataError, bundled_fixture_dir, pipeline
 from ecx.cli import main
 from ecx.matrixio import read_matrix_csv
@@ -119,6 +120,24 @@ def test_binary_matrix_roundtrip(tmp_path):
     values, rcodes, scodes = read_matrix_csv(out / "m.csv")
     assert set(np.unique(values)) <= {0.0, 1.0}
     assert len(rcodes) == 12 and len(scodes) == 18
+
+
+@pytest.mark.parametrize("cell", ["nan", "2", "0.5"])
+def test_non_binary_m_csv_exits_2_with_one_line(tmp_path, cell):
+    """A cell of m.csv other than 0 or 1 is refused before any cast, so
+    stderr holds the error line and no numpy warning."""
+    out = tmp_path / "out"
+    assert main(["ingest", *run_args(synth_inputs(tmp_path / "in"), out)]) == 0
+    assert main(["matrix", "--out", str(out)]) == 0
+    header, first, *rest = (out / "m.csv").read_text().splitlines(True)
+    first = ",".join([*first.split(",")[:-1], cell + "\n"])
+    (out / "m.csv").write_text("".join([header, first, *rest]))
+    proc = run_python("import sys, ecx.cli\n"
+                      "sys.exit(ecx.cli.main(sys.argv[1:]))",
+                      "eci", "--out", out)
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "ecx: error: stage 'eci': m.csv must contain only 0/1 entries\n")
 
 
 def test_missing_firms_file_exits_2(tmp_path, capsys):
