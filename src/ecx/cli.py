@@ -59,7 +59,7 @@ def _add_out(parser: argparse.ArgumentParser) -> None:
         help="output directory (default: $ECX_OUT or current directory)")
 
 
-def _add_inputs(parser: argparse.ArgumentParser) -> None:
+def _add_inputs(parser: argparse.ArgumentParser, need_macro: bool) -> None:
     parser.add_argument("--firms", required=True, metavar="CSV",
                         help="firm-level table: firm_id,region_code,"
                              "sector_code,annual_sales,employees")
@@ -67,7 +67,7 @@ def _add_inputs(parser: argparse.ArgumentParser) -> None:
                         help="region catalog: code,name,super_region")
     parser.add_argument("--sectors", required=True, metavar="CSV",
                         help="sector catalog: code,name,division,excluded")
-    parser.add_argument("--macro", metavar="CSV",
+    parser.add_argument("--macro", required=need_macro, metavar="CSV",
                         help="per-region indicators: region_code,population,"
                              "gross_product,income_per_person")
 
@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="parse and aggregate the input tables")
-    _add_inputs(p)
+    _add_inputs(p, need_macro=False)
     _add_out(p)
 
     p = sub.add_parser("matrix", help="RCA ratios and the binary matrix")
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
 
     p = sub.add_parser("run", help="full pipeline: ingest through report")
-    _add_inputs(p)
+    _add_inputs(p, need_macro=True)
     p.add_argument("--threshold", dest="rca_threshold", metavar="THRESHOLD",
                    type=float, default=RunConfig.rca_threshold,
                    help="RCA cut-off (default %(default)s)")

@@ -19,6 +19,7 @@ refuses to pick a direction when λ2 is not isolated from λ1 or λ3
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -30,7 +31,7 @@ from .errors import (
     NonConvergenceError,
     NumericalError,
 )
-from .rca import BinaryBipartiteMatrix, degree_profile, validate_nondegenerate
+from .rca import BinaryBipartiteMatrix, degree_profile
 
 DEFAULT_TOL = 1e-10
 
@@ -69,15 +70,9 @@ def build_transition(m: BinaryBipartiteMatrix, kind: str) -> TransitionMatrix:
 
     A diagnostic: the solver never builds it.
     """
-    validate_nondegenerate(m)
     values = m.values.astype(float)
     k_p0 = values.sum(axis=1)
     k_s0 = values.sum(axis=0)
-    for deg, codes, what in ((k_p0, m.regions.codes, "region"),
-                             (k_s0, m.sectors.codes, "sector")):
-        if np.any(deg == 0):
-            label = codes[int(np.argmax(deg == 0))]
-            raise InputDataError(f"zero degree for {what} {label!r}")
     if kind == "region":
         t = (values / k_p0[:, None]) @ (values / k_s0[None, :]).T
         codes = m.regions.codes
@@ -116,9 +111,8 @@ def second_eigenpair(m: BinaryBipartiteMatrix, tol: float = DEFAULT_TOL
                      ) -> Tuple[EigenPair, EigenPair]:
     """(region, sector) eigenpairs of the second-largest eigenvalue of the
     two transition matrices, from one thin SVD."""
-    if not (tol > 0):
-        raise InputDataError(f"tol must be positive, got {tol}")
-    validate_nondegenerate(m)
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputDataError(f"tol must be finite and positive, got {tol}")
     values = m.values.astype(float)
     if min(values.shape) < 2:
         raise InputDataError("transition matrices must be at least 2x2")

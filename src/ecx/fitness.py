@@ -21,13 +21,16 @@ stayed above ``COLLAPSE_FLOOR``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
 from .errors import InputDataError
-from .rca import BinaryBipartiteMatrix, validate_nondegenerate
+from .matrixio import write_matrix_csv
+from .rca import BinaryBipartiteMatrix
+from .stats import order_of
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 1000
@@ -36,23 +39,16 @@ _RECIPROCAL_GUARD = 1e-300   # floor inside 1/F sums only, never stored
 
 
 @dataclass(frozen=True)
-class TraceEntry:
-    iteration: int
-    max_abs_change: float
-    min_fitness: float
-
-
-@dataclass(frozen=True)
 class FitnessResult:
     fitness: np.ndarray              # per region, mean 1
     complexity: np.ndarray           # per sector, mean 1
     iterations: int
     converged: bool
-    trace: Tuple[TraceEntry, ...]
     tol: float
     region_codes: tuple
     sector_codes: tuple
     history: np.ndarray              # (iterations+1, P) fitness per step
+    deltas: np.ndarray               # (iterations,) max |dF|, |dQ| per step
 
     @property
     def min_fitness(self) -> float:
@@ -83,14 +79,13 @@ def fitness_complexity(m: BinaryBipartiteMatrix, tol: float = DEFAULT_TOL,
                        q0: np.ndarray = None) -> FitnessResult:
     """Run the coupled iteration from F = Q = 1 (or given start vectors).
 
-    Non-convergence is a legitimate, reported outcome — the trace and
-    final values are always returned.  ``f0``/``q0`` exist so tests can
-    assert scale invariance of the start; production runs use the
-    all-ones default.
+    Non-convergence is a legitimate, reported outcome — the history,
+    the step deltas and the final values are always returned.
+    ``f0``/``q0`` exist so tests can assert scale invariance of the
+    start; production runs use the all-ones default.
     """
-    validate_nondegenerate(m)
-    if not (tol > 0):
-        raise InputDataError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputDataError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:
         raise InputDataError(f"max_iter must be >= 1, got {max_iter}")
     values = m.values.astype(float)
@@ -103,7 +98,7 @@ def fitness_complexity(m: BinaryBipartiteMatrix, tol: float = DEFAULT_TOL,
         raise InputDataError("start vectors must be positive")
 
     history: List[np.ndarray] = [f.copy()]
-    trace: List[TraceEntry] = []
+    deltas: List[float] = []
     stopped = False
     iterations = 0
     for n in range(1, max_iter + 1):
@@ -114,16 +109,15 @@ def fitness_complexity(m: BinaryBipartiteMatrix, tol: float = DEFAULT_TOL,
         f, q = f_new, q_new
         iterations = n
         history.append(f.copy())
-        trace.append(TraceEntry(n, float(delta), float(f.min())))
+        deltas.append(delta)
         if delta < tol:
             stopped = True
             break
     converged = stopped and float(f.min()) > COLLAPSE_FLOOR
     return FitnessResult(
         fitness=f, complexity=q, iterations=iterations, converged=converged,
-        trace=tuple(trace), tol=tol,
-        region_codes=m.regions.codes, sector_codes=m.sectors.codes,
-        history=np.vstack(history),
+        tol=tol, region_codes=m.regions.codes, sector_codes=m.sectors.codes,
+        history=np.vstack(history), deltas=np.array(deltas),
     )
 
 
@@ -153,10 +147,8 @@ def order_by_rank(m: BinaryBipartiteMatrix,
         raise InputDataError("fitness result contains non-finite values")
     rcodes = m.regions.codes
     ccodes = m.sectors.codes
-    rows = tuple(sorted(range(len(rcodes)),
-                        key=lambda i: (-result.fitness[i], rcodes[i])))
-    cols = tuple(sorted(range(len(ccodes)),
-                        key=lambda j: (result.complexity[j], ccodes[j])))
+    rows = order_of(result.fitness, rcodes)
+    cols = order_of(-result.complexity, ccodes)
     matrix = m.values[np.ix_(rows, cols)]
     p, s = matrix.shape
     on_diag = sum(int(matrix[i, anti_diagonal_column(i, p, s)]) for i in range(p))
@@ -171,8 +163,9 @@ def order_by_rank(m: BinaryBipartiteMatrix,
     )
 
 
-def convergence_report(result: FitnessResult):
-    """Plot-ready trace columns: header plus one row per iteration."""
-    header = ["iteration", *result.region_codes]
-    rows = [[n, *result.history[n]] for n in range(result.iterations + 1)]
-    return header, rows
+def convergence_report(result: FitnessResult, path) -> None:
+    """Write the plot-ready trace: one row of region fitness values per
+    iteration, the start included, under an ``iteration`` corner."""
+    write_matrix_csv(path, result.history,
+                     [str(n) for n in range(result.iterations + 1)],
+                     result.region_codes, corner="iteration")

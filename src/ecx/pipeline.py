@@ -288,9 +288,7 @@ def stage_fitness(cfg: RunConfig, ordered: bool = False) -> dict:
                   res.region_codes, res.fitness)
     _write_ranked(out / "complexity.csv", "sector_code", "complexity",
                   res.sector_codes, res.complexity)
-    header, rows = fit_mod.convergence_report(res)
-    write_csv(out / "trace.csv", header,
-              ([r[0], *(fmt_float(v) for v in r[1:])] for r in rows))
+    fit_mod.convergence_report(res, out / "trace.csv")
     view = fit_mod.order_by_rank(m, res)
     files = ["fitness.csv", "complexity.csv", "trace.csv"]
     if ordered:
@@ -356,6 +354,9 @@ def stage_correlate(cfg: RunConfig, indicator: Optional[str] = None,
     reads = ["catalog_regions.csv", "macro.csv"]
     regions = _load_regions(out)
     macro = _load_macro(out, regions)
+    if not macro.present.any():
+        raise InputDataError("macro.csv holds no indicator rows: run the "
+                             "'ingest' stage with --macro")
     index_values = {}
     for index in indices:
         stage = "eci" if index == "eci" else "fitness"
@@ -453,6 +454,8 @@ def _check_lineage(out: Path, sidecars: Dict[str, dict]) -> None:
 
 def stage_report(cfg: RunConfig, summary: bool = False,
                  highlight: Optional[str] = None) -> dict:
+    if highlight is not None and not summary:
+        raise InputDataError("--highlight needs --summary")
     out = Path(cfg.out_dir)
     sidecars = {name: read_json(_need(out, f"{name}_report.json", name))
                 for name in STAGE_TABLE if name != "report"}
@@ -543,8 +546,13 @@ def run_stage(name: str, cfg: RunConfig, **options) -> dict:
 
 def run_pipeline(cfg: RunConfig) -> dict:
     """Every stage of ``STAGE_TABLE`` in order, with default options;
-    returns the final report.  Any stage failure aborts the run."""
+    returns the final report.  Any stage failure aborts the run.  The
+    macro table is required, since ``correlate`` needs it: without one
+    the run is refused before any stage writes a file."""
     cfg.validate()
+    if cfg.macro is None:
+        raise InputDataError("macro file not specified: the 'correlate' "
+                             "stage needs it")
     for name in STAGE_TABLE:
         report = run_stage(name, cfg)
     return report

@@ -26,7 +26,7 @@ import numpy as np
 from .catalogs import RegionCatalog, SectorCatalog
 from .errors import DisconnectedGraphError, InputDataError
 from .matrixio import fmt_float
-from .rca import BinaryBipartiteMatrix, validate_nondegenerate
+from .rca import BinaryBipartiteMatrix
 
 ROUND_DECIMALS = 12
 
@@ -55,7 +55,6 @@ class SpanningTree:
 
 def project(m: BinaryBipartiteMatrix, kind: str) -> ProjectionMatrix:
     """Integer co-occurrence counts; the diagonal is the degree vector."""
-    validate_nondegenerate(m)
     # numpy multiplies int64 matrices without BLAS; a float64 product is
     # exact here, because every count is at most max(p, s), far below 2**53
     v = m.values.astype(np.float64)

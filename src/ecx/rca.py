@@ -54,6 +54,15 @@ class BinaryBipartiteMatrix:
     threshold: float = 1.0
     dropped: DropReport = field(default_factory=DropReport)
 
+    def __post_init__(self):
+        if self.values.size == 0:
+            raise DegenerateMatrixError("degenerate matrix: empty")
+        if (np.any(self.values.sum(axis=1) == 0)
+                or np.any(self.values.sum(axis=0) == 0)):
+            raise DegenerateMatrixError(
+                "degenerate matrix: zero row or column present"
+            )
+
     @property
     def shape(self):
         return self.values.shape
@@ -126,19 +135,8 @@ def binarize(rca: RcaMatrix, threshold: float = 1.0) -> BinaryBipartiteMatrix:
     )
 
 
-def validate_nondegenerate(m: BinaryBipartiteMatrix) -> None:
-    values = m.values
-    if values.size == 0:
-        raise DegenerateMatrixError("degenerate matrix: empty")
-    if np.any(values.sum(axis=1) == 0) or np.any(values.sum(axis=0) == 0):
-        raise DegenerateMatrixError(
-            "degenerate matrix: zero row or column present"
-        )
-
-
 def degree_profile(m: BinaryBipartiteMatrix) -> DegreeProfile:
     """Diversification/ubiquity degrees and mean nearest-neighbour degrees."""
-    validate_nondegenerate(m)
     values = m.values
     k_p0 = values.sum(axis=1)
     k_s0 = values.sum(axis=0)

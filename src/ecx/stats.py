@@ -321,7 +321,12 @@ def rank_agreement(ranking_a: Dict[str, int], ranking_b: Dict[str, int]):
     return tau, table
 
 
+def order_of(values: np.ndarray, codes) -> Tuple[int, ...]:
+    """Indices by descending value; ties break by code."""
+    return tuple(sorted(range(len(codes)),
+                        key=lambda i: (-values[i], codes[i])))
+
+
 def rank_of(values: np.ndarray, codes) -> Dict[str, int]:
     """Competition-free ranks, 1 = largest value; ties break by code."""
-    order = sorted(range(len(codes)), key=lambda i: (-values[i], codes[i]))
-    return {codes[i]: pos + 1 for pos, i in enumerate(order)}
+    return {codes[i]: pos + 1 for pos, i in enumerate(order_of(values, codes))}

@@ -124,7 +124,7 @@ def test_criterion_3_fitness_convergence_dichotomy(capsys):
                                      max_iter=1000)
             assert res.converged, f"nested {n}x{n} did not converge"
             assert res.iterations <= 1000
-            assert res.trace[-1].max_abs_change < 1e-9
+            assert res.deltas[-1] < 1e-9
             assert np.all(res.fitness > 0) and np.all(res.complexity > 0)
         collapse = fitness_complexity(binary([[1, 1], [1, 0], [1, 0]]),
                                       max_iter=200)

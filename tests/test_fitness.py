@@ -10,6 +10,7 @@ from conftest import binary, fat_nested
 from ecx import (DegenerateMatrixError, InputDataError, anti_diagonal_column,
                  convergence_report, fitness_complexity, order_by_rank)
 from ecx.fitness import _step
+from ecx.matrixio import read_matrix_csv
 from oracles import fitness_reference
 
 COLLAPSING = [[1, 1], [1, 0], [1, 0]]
@@ -37,7 +38,7 @@ def test_collapse_detected_not_converged():
     assert not res.converged
     assert res.iterations <= 200
     # the stop rule fired (changes below tol) but the floor verdict wins
-    assert res.trace[-1].max_abs_change < res.tol
+    assert res.deltas[-1] < res.tol
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -163,9 +164,14 @@ def test_ordered_view_sorts_by_rank_with_code_ties():
     assert view.permutation_rows == (0, 1, 2)
 
 
-def test_convergence_report_shape():
+def test_convergence_report_shape(tmp_path):
     res = fitness_complexity(binary(fat_nested(4)))
-    header, rows = convergence_report(res)
-    assert header == ["iteration", "R01", "R02", "R03", "R04"]
-    assert len(rows) == res.iterations + 1
-    assert rows[0][0] == 0 and rows[0][1:] == [1.0, 1.0, 1.0, 1.0]
+    convergence_report(res, tmp_path / "trace.csv")
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
+    assert lines[0] == "iteration,R01,R02,R03,R04"
+    assert len(lines) == res.iterations + 2
+    assert lines[1] == "0,1.0,1.0,1.0,1.0"
+    values, iterations, regions = read_matrix_csv(tmp_path / "trace.csv")
+    assert iterations == tuple(str(n) for n in range(res.iterations + 1))
+    assert regions == res.region_codes
+    assert np.array_equal(values, res.history)

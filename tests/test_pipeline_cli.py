@@ -3,6 +3,7 @@
 import importlib.metadata
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,3 +424,117 @@ def test_power_fit_of_fitness_runs(tmp_path):
     assert main(["correlate", "--index", "fitness", "--fit", "power",
                  "--out", str(out)]) == 0
     assert (out / "fit_fitness_income.csv").is_file()
+
+
+def test_run_without_macro_is_refused_before_any_write(tmp_path):
+    src = synth_inputs(tmp_path / "in")
+    out = tmp_path / "out"
+    args = run_args(src, out)
+    del args[6:8]                       # --macro and its path
+    with pytest.raises(SystemExit) as exc:
+        main(["run", *args])
+    assert exc.value.code == 2
+    with pytest.raises(InputDataError, match="macro file not specified"):
+        pipeline.run_pipeline(pipeline.RunConfig(
+            out_dir=out, firms=src / "firms.csv",
+            regions=src / "regions.csv", sectors=src / "sectors.csv"))
+    assert not out.exists()
+
+
+def test_correlate_without_macro_rows_names_the_fix(tmp_path, capsys):
+    src = synth_inputs(tmp_path / "in")
+    out = tmp_path / "out"
+    args = run_args(src, out)
+    del args[6:8]
+    for stage in (["ingest", *args], ["matrix"], ["eci"], ["fitness"]):
+        assert main([*stage, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["correlate", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--macro" in err and "'ingest'" in err
+    assert not (out / "correlations.json").exists()
+
+
+def test_highlight_without_summary_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", *fixture_args(out)]) == 0
+    report = (out / "report.json").read_bytes()
+    capsys.readouterr()
+    assert main(["report", "--highlight", "XX", "--out", str(out)]) == 2
+    assert "--highlight needs --summary" in capsys.readouterr().err
+    assert (out / "report.json").read_bytes() == report
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+@pytest.mark.parametrize("stage", ["eci", "fitness"])
+def test_non_finite_tol_exits_2(tmp_path, capsys, stage, tol):
+    out = tmp_path / "out"
+    assert main(["ingest", *run_args(synth_inputs(tmp_path / "in"), out)]) == 0
+    assert main(["matrix", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main([stage, "--tol", tol, "--out", str(out)]) == 2
+    assert "tol must be finite and positive" in capsys.readouterr().err
+
+
+def test_matrix_with_a_zero_column_is_refused_by_every_reader(tmp_path):
+    """A degenerate m.csv is refused where the matrix is built, so every
+    stage that reads it exits 2 with one line on stderr."""
+    out = tmp_path / "out"
+    assert main(["run", *run_args(synth_inputs(tmp_path / "in"), out)]) == 0
+    header, *rows = (out / "m.csv").read_text().splitlines(True)
+    (out / "m.csv").write_text("".join(
+        [header, *(row.rsplit(",", 1)[0] + ",0\n" for row in rows)]))
+    # the sidecars agree with the edited file, so report gets past its
+    # lineage check to the summary tables
+    digest = pipeline._digest(out / "m.csv")
+    for sidecar in out.glob("*_report.json"):
+        data = json.loads(sidecar.read_text())
+        if "m.csv" in data["lineage"]:
+            data["lineage"]["m.csv"] = digest
+            sidecar.write_text(json.dumps(data))
+    for stage in (["eci"], ["fitness"], ["mst"], ["report", "--summary"]):
+        proc = run_python("import sys, ecx.cli\n"
+                          "sys.exit(ecx.cli.main(sys.argv[1:]))",
+                          *stage, "--out", out)
+        assert proc.returncode == 2, stage
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert "degenerate matrix" in proc.stderr, proc.stderr
+
+
+def test_traced_bench_finds_every_name_it_reads(tmp_path):
+    """The bench's tracer wraps ecx functions by name and reads report
+    keys and result attributes; a rename shows as an ``absent`` name or
+    a None metric.  Runs one in-process pass and one staged chain, as
+    the bench's two modes do."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    proc = run_python("""
+        import contextlib, io, json, sys
+        sys.path.insert(0, sys.argv[1])
+        import ecx.cli, ecx.pipeline
+        from tracing import LAYER_METRICS, Tracer
+
+        fx, out = ecx.bundled_fixture_dir(), sys.argv[2]
+        inputs = [f"--{n}={fx / (n + '.csv')}"
+                  for n in ("firms", "regions", "sectors", "macro")]
+        tracer = Tracer()
+        tracer.install()
+        ecx.pipeline.run_pipeline(ecx.pipeline.RunConfig(
+            out + "/run", *(fx / f"{n}.csv"
+                            for n in ("firms", "regions", "sectors", "macro"))))
+        passes = [tracer.end_pass()]
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["ingest", *inputs], ["matrix"], ["eci"],
+                         ["fitness", "--ordered"], ["mst", "--format", "graphml"],
+                         ["correlate", "--fit", "exp"],
+                         ["report", "--summary", "--highlight", "R01"]):
+                assert ecx.cli.main([*argv, "--out", out + "/staged"]) == 0, argv
+        passes.append(tracer.end_pass())
+        names = [name for name, _, _ in LAYER_METRICS
+                 if name != "trace.overhead_s"]
+        print(json.dumps({"absent": tracer.absent,
+                          "none": [[m for m in names if p.get(m) is None]
+                                   for p in passes]}))
+        """, bench, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"absent": [], "none": [[], []]}

@@ -99,9 +99,10 @@ def test_degree_profile_nested_example():
 
 def test_degree_profile_requires_nondegenerate():
     from ecx.rca import BinaryBipartiteMatrix
-    m = BinaryBipartiteMatrix(np.array([[1, 0], [1, 0]]),
-                              make_region_catalog(2), make_sector_catalog(2))
     with pytest.raises(DegenerateMatrixError, match="zero row or column"):
+        m = BinaryBipartiteMatrix(np.array([[1, 0], [1, 0]]),
+                                  make_region_catalog(2),
+                                  make_sector_catalog(2))
         degree_profile(m)
 
 
