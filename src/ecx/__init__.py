@@ -8,6 +8,25 @@ against macro indicators.  ``ecx.cli`` exposes the same steps as the
 ``ecx`` command-line tool.
 """
 
+import os
+
+# Every BLAS call runs on one thread, so the thread count never changes
+# an output bit.  This wheel's OpenBLAS reads OPENBLAS_NUM_THREADS,
+# ahead of GOTO_NUM_THREADS and OMP_NUM_THREADS, once, when numpy first
+# loads it; the caller's value is put back, so child processes inherit
+# the environment unchanged.  A program that imported numpy before ecx
+# keeps numpy's thread count.
+_saved = os.environ.get("OPENBLAS_NUM_THREADS")
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy  # noqa: F401
+finally:
+    if _saved is None:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+    else:
+        os.environ["OPENBLAS_NUM_THREADS"] = _saved
+del os, _saved, numpy
+
 from .catalogs import (DIVISIONS, SUPER_REGIONS, Region, RegionCatalog,
                        Sector, SectorCatalog, bundled_fixture_dir,
                        bundled_path, bundled_regions, bundled_sectors)

@@ -12,8 +12,7 @@ together with published rank tables used by the test-suite.
 from __future__ import annotations
 
 import csv
-import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO, Union
@@ -99,7 +98,10 @@ def _read_rows(source: PathOrStream, required: Sequence[str], what: str):
 
 
 def _check_code(kind: str, code: str) -> None:
-    """Refuse a code that a UTF-8 matrix CSV cannot carry."""
+    """Refuse an empty code, and one that a UTF-8 matrix CSV cannot carry."""
+    if not code:
+        # a firm row whose code field is blank would land on this entry
+        raise InputDataError(f"{kind} code '' is empty")
     if "\r" in code:
         # csv.writer with "\n" line ends leaves a lone "\r" unquoted
         raise InputDataError(
@@ -113,20 +115,92 @@ def _check_code(kind: str, code: str) -> None:
             "surrogate), which a matrix CSV cannot carry") from None
 
 
-class RegionCatalog:
+def _excluded(flag, code) -> bool:
+    """The sector ``code``'s ``excluded`` flag, which must be 0 or 1."""
+    flag = str(flag).strip()
+    if flag not in ("0", "1"):
+        raise InputDataError(
+            f"sectors catalog: excluded must be 0 or 1, got {flag!r} "
+            f"for {code!r}")
+    return flag == "1"
+
+
+class _Catalog:
+    """Ordered entries with unique, non-empty codes and dense ids, and
+    every code-to-row lookup over them.
+
+    ``codes`` holds each entry's code and ``index`` maps a code to its
+    row, which is also the entry's id.
+    """
+
+    kind = ""           # "region" or "sector", as messages name it
+    group_field = ""    # the entry attribute that groups a tree's nodes
+
+    def __init__(self, entries: Iterable):
+        self.entries = tuple(entries)
+        self.codes = tuple(e.code for e in self.entries)
+        self.index = {c: i for i, c in enumerate(self.codes)}
+        if len(self.index) != len(self.codes):
+            seen: set = set()
+            dup = next(c for c in self.codes if c in seen or seen.add(c))
+            raise InputDataError(f"duplicate {self.kind} code {dup!r}")
+        id_field = f"{self.kind}_id"
+        for i, e in enumerate(self.entries):
+            if getattr(e, id_field) != i:
+                raise InputDataError(
+                    f"{self.kind} ids are not dense at {e.code!r}")
+            _check_code(self.kind, e.code)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __iter__(self) -> Iterator:
+        return iter(self.entries)
+
+    def __contains__(self, code: str) -> bool:
+        return code in self.index
+
+    def __getitem__(self, code: str):
+        try:
+            return self.entries[self.index[code]]
+        except KeyError:
+            raise InputDataError(
+                f"unknown {self.kind} code {code!r}") from None
+
+    def subset(self, keep: Sequence[int]):
+        """New catalog from the given row indices, with ids re-densified.
+        Keeping every row in order returns this catalog itself."""
+        if list(keep) == list(range(len(self))):
+            return self
+        id_field = f"{self.kind}_id"
+        return type(self)(replace(self.entries[k], **{id_field: i})
+                          for i, k in enumerate(keep))
+
+    def select(self, codes: Iterable[str]):
+        """``subset`` of the rows of ``codes``, in their order; a code
+        outside the catalog is refused."""
+        try:
+            keep = [self.index[c] for c in codes]
+        except KeyError as exc:
+            raise InputDataError(
+                f"{self.kind} {exc.args[0]!r} not in catalog") from None
+        return self.subset(keep)
+
+    def codes_outside(self, keep: Iterable[int]) -> tuple:
+        """Codes of the rows not in ``keep``, in catalog order."""
+        kept = set(keep)
+        return tuple(c for i, c in enumerate(self.codes) if i not in kept)
+
+
+class RegionCatalog(_Catalog):
     """Ordered, dense-indexed collection of regions."""
 
+    kind = "region"
+    group_field = "super_region"
+
     def __init__(self, regions: Iterable[Region]):
-        self.regions = tuple(regions)
-        self._by_code = {r.code: r for r in self.regions}
-        if len(self._by_code) != len(self.regions):
-            seen: set = set()
-            dup = next(r.code for r in self.regions if r.code in seen or seen.add(r.code))
-            raise InputDataError(f"duplicate region code {dup!r}")
-        for i, r in enumerate(self.regions):
-            if r.region_id != i:
-                raise InputDataError(f"region ids are not dense at {r.code!r}")
-            _check_code("region", r.code)
+        super().__init__(regions)
+        for r in self.entries:
             if r.super_region not in SUPER_REGIONS:
                 raise InputDataError(
                     f"unknown super_region {r.super_region!r} for {r.code!r}"
@@ -146,59 +220,23 @@ class RegionCatalog:
             (r["code"], r["name"], r["super_region"]) for r in rows
         )
 
-    def __len__(self) -> int:
-        return len(self.regions)
-
-    def __iter__(self) -> Iterator[Region]:
-        return iter(self.regions)
-
-    def __contains__(self, code: str) -> bool:
-        return code in self._by_code
-
-    def __getitem__(self, code: str) -> Region:
-        try:
-            return self._by_code[code]
-        except KeyError:
-            raise InputDataError(f"unknown region code {code!r}") from None
-
-    @property
-    def codes(self) -> tuple:
-        return tuple(r.code for r in self.regions)
-
-    def subset(self, keep: Sequence[int]) -> "RegionCatalog":
-        """New catalog from the given row indices, with ids re-densified."""
-        return RegionCatalog(
-            Region(i, self.regions[k].code, self.regions[k].name,
-                   self.regions[k].super_region)
-            for i, k in enumerate(keep)
-        )
-
     def to_csv_rows(self):
         yield ("code", "name", "super_region")
-        for r in self.regions:
+        for r in self.entries:
             yield (r.code, r.name, r.super_region)
 
 
-class SectorCatalog:
+class SectorCatalog(_Catalog):
     """Ordered, dense-indexed collection of sectors (with exclusion flags)."""
 
-    def __init__(self, sectors: Iterable[Sector]):
-        self.sectors = tuple(sectors)
-        self._by_code = {s.code: s for s in self.sectors}
-        if len(self._by_code) != len(self.sectors):
-            seen: set = set()
-            dup = next(s.code for s in self.sectors if s.code in seen or seen.add(s.code))
-            raise InputDataError(f"duplicate sector code {dup!r}")
-        for i, s in enumerate(self.sectors):
-            if s.sector_id != i:
-                raise InputDataError(f"sector ids are not dense at {s.code!r}")
-            _check_code("sector", s.code)
+    kind = "sector"
+    group_field = "division"
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "SectorCatalog":
         return cls(
             Sector(i, str(code).strip(), str(name).strip(), str(div).strip(),
-                   bool(int(exc)))
+                   _excluded(exc, code))
             for i, (code, name, div, exc) in enumerate(rows)
         )
 
@@ -207,53 +245,18 @@ class SectorCatalog:
         rows = _read_rows(
             source, ("code", "name", "division", "excluded"), "sectors catalog"
         )
-        out = []
-        for r in rows:
-            exc = r["excluded"].strip()
-            if exc not in ("0", "1"):
-                raise InputDataError(
-                    f"sectors catalog: excluded must be 0 or 1, got {exc!r} "
-                    f"for {r['code']!r}"
-                )
-            out.append((r["code"], r["name"], r["division"], exc))
-        return cls.from_rows(out)
-
-    def __len__(self) -> int:
-        return len(self.sectors)
-
-    def __iter__(self) -> Iterator[Sector]:
-        return iter(self.sectors)
-
-    def __contains__(self, code: str) -> bool:
-        return code in self._by_code
-
-    def __getitem__(self, code: str) -> Sector:
-        try:
-            return self._by_code[code]
-        except KeyError:
-            raise InputDataError(f"unknown sector code {code!r}") from None
-
-    @property
-    def codes(self) -> tuple:
-        return tuple(s.code for s in self.sectors)
+        return cls.from_rows(
+            (r["code"], r["name"], r["division"], r["excluded"]) for r in rows
+        )
 
     def kept(self) -> "SectorCatalog":
         """Catalog of the non-excluded sectors, ids re-densified."""
-        return SectorCatalog(
-            Sector(i, s.code, s.name, s.division, False)
-            for i, s in enumerate(s for s in self.sectors if not s.excluded)
-        )
-
-    def subset(self, keep: Sequence[int]) -> "SectorCatalog":
-        return SectorCatalog(
-            Sector(i, self.sectors[k].code, self.sectors[k].name,
-                   self.sectors[k].division, self.sectors[k].excluded)
-            for i, k in enumerate(keep)
-        )
+        return self.subset([i for i, s in enumerate(self.entries)
+                            if not s.excluded])
 
     def to_csv_rows(self):
         yield ("code", "name", "division", "excluded")
-        for s in self.sectors:
+        for s in self.entries:
             yield (s.code, s.name, s.division, "1" if s.excluded else "0")
 
 

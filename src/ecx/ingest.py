@@ -111,6 +111,12 @@ class FirmParseResult:
     zero_sales_count: int = 0
 
 
+def check_catalog_shape(matrix, what: str) -> None:
+    """Refuse a matrix whose ``values`` are not regions x sectors."""
+    if matrix.values.shape != (len(matrix.regions), len(matrix.sectors)):
+        raise InputDataError(f"{what} matrix shape does not match catalogs")
+
+
 @dataclass(frozen=True)
 class SalesMatrix:
     """Aggregated annual sales w[p][s] over non-excluded sectors."""
@@ -120,8 +126,7 @@ class SalesMatrix:
     sectors: SectorCatalog       # excluded sectors already removed
 
     def __post_init__(self):
-        if self.values.shape != (len(self.regions), len(self.sectors)):
-            raise InputDataError("sales matrix shape does not match catalogs")
+        check_catalog_shape(self, "sales")
         if np.any(self.values < 0) or not np.all(np.isfinite(self.values)):
             raise InputDataError("sales entries must be finite and >= 0")
 
@@ -546,8 +551,7 @@ def parse_firms(source: PathOrStream, regions: RegionCatalog,
                 "firms table: expected header "
                 f"{','.join(FIRMS_HEADER)}, got {','.join(header)}"
             )
-        region_id = {r.code: r.region_id for r in regions}
-        sector_id = {s.code: s.sector_id for s in sectors}
+        region_id, sector_id = regions.index, sectors.index
         parts = None
         if close:
             start = len(header_line.encode("utf-8"))

@@ -125,24 +125,12 @@ def _load_macro(out_dir, regions: RegionCatalog) -> MacroIndicators:
     return parse_macro(_need(out_dir, "macro.csv", "ingest"), regions)
 
 
-def _subset_by_codes(catalog, codes, what: str):
-    index = {c: i for i, c in enumerate(catalog.codes)}
-    try:
-        keep = [index[c] for c in codes]
-    except KeyError as exc:
-        raise InputDataError(f"{what} {exc.args[0]!r} not in catalog") from None
-    return catalog.subset(keep)
-
-
 def _load_binary(out_dir) -> BinaryBipartiteMatrix:
     values, rcodes, scodes = read_matrix_csv(_need(out_dir, "m.csv", "matrix"))
     ints = binary_cells(values, "m.csv").astype(np.int64)
     regions, sectors = _load_catalogs(out_dir)
-    return BinaryBipartiteMatrix(
-        ints,
-        _subset_by_codes(regions, rcodes, "region"),
-        _subset_by_codes(sectors.kept(), scodes, "sector"),
-    )
+    return BinaryBipartiteMatrix(ints, regions.select(rcodes),
+                                 sectors.kept().select(scodes))
 
 
 def _read_indexed(path) -> Dict[str, float]:
@@ -217,9 +205,8 @@ def stage_matrix(cfg: RunConfig) -> dict:
     out = Path(cfg.out_dir)
     values, rcodes, scodes = read_matrix_csv(_need(out, "sales.csv", "ingest"))
     regions, sectors = _load_catalogs(out)
-    sales = SalesMatrix(values,
-                        _subset_by_codes(regions, rcodes, "region"),
-                        _subset_by_codes(sectors.kept(), scodes, "sector"))
+    sales = SalesMatrix(values, regions.select(rcodes),
+                        sectors.kept().select(scodes))
     rca = compute_rca(sales)
     m = binarize(rca, cfg.rca_threshold)
 
@@ -309,11 +296,8 @@ def stage_mst(cfg: RunConfig, entity: str = "region",
     out = Path(cfg.out_dir)
     m = _load_binary(out)
     tree = max_similarity_tree(similarity(project(m, entity)))
-    if entity == "region":
-        catalog, grouping = m.regions, "super_region"
-    else:
-        catalog, grouping = m.sectors, "division"
-    data = export_tree(tree, catalog, grouping, format)
+    data = export_tree(tree, m.regions if entity == "region" else m.sectors,
+                       format)
     name = f"mst_{entity}.{format}"
     with replacing(out / name, binary=True) as fh:
         fh.write(data)

@@ -146,39 +146,25 @@ def max_similarity_tree(theta: SimilarityMatrix) -> SpanningTree:
     return SpanningTree(tuple(edges), n, total, theta.kind)
 
 
-def _group_lookup(catalog, grouping: str):
-    entries = list(catalog)
-    if not entries or not hasattr(entries[0], grouping):
-        raise InputDataError(
-            f"catalog has no {grouping!r} attribute for grouping"
-        )
-    names = {}
-    groups = {}
-    for e in entries:
-        names[e.code] = e.name
-        groups[e.code] = getattr(e, grouping)
-    return names, groups
-
-
 def _dot_string(text: str) -> str:
     """``text`` as a DOT quoted string, with its backslashes and quotes
     escaped."""
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_tree(tree: SpanningTree, catalog, grouping: str,
-                format: str = "dot") -> bytes:
+def export_tree(tree: SpanningTree, catalog, format: str = "dot") -> bytes:
     """Serialize the tree with per-node ``label``/``group`` attributes.
 
     ``catalog`` is the RegionCatalog or SectorCatalog the tree was built
-    over; ``grouping`` names the catalog attribute used as the node
-    group (``super_region`` or ``division``).
+    over; a node's group is its entry's ``catalog.group_field``
+    (``super_region`` or ``division``).
     """
-    names, groups = _group_lookup(catalog, grouping)
     nodes = sorted({c for e in tree.edges for c in (e[0], e[1])})
     for c in nodes:
-        if c not in names:
+        if c not in catalog:
             raise InputDataError(f"missing group mapping for {c!r}")
+    names = {c: catalog[c].name for c in nodes}
+    groups = {c: getattr(catalog[c], catalog.group_field) for c in nodes}
     if format == "dot":
         q = _dot_string
         lines = ["graph tree {"]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .catalogs import RegionCatalog, SectorCatalog
 from .errors import DegenerateMatrixError, InputDataError
-from .ingest import SalesMatrix
+from .ingest import SalesMatrix, check_catalog_shape
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,9 @@ class RcaMatrix:
     sectors: SectorCatalog
     dropped: DropReport = field(default_factory=DropReport)
 
+    def __post_init__(self):
+        check_catalog_shape(self, "rca")
+
 
 @dataclass(frozen=True)
 class BinaryBipartiteMatrix:
@@ -55,6 +58,7 @@ class BinaryBipartiteMatrix:
     dropped: DropReport = field(default_factory=DropReport)
 
     def __post_init__(self):
+        check_catalog_shape(self, "binary")
         if self.values.size == 0:
             raise DegenerateMatrixError("degenerate matrix: empty")
         if (np.any(self.values.sum(axis=1) == 0)
@@ -86,14 +90,9 @@ def compute_rca(sales: SalesMatrix) -> RcaMatrix:
         raise InputDataError("empty economy: total sales are zero")
     row_keep = np.flatnonzero(w.sum(axis=1) > 0)
     col_keep = np.flatnonzero(w.sum(axis=0) > 0)
-    rset, cset = set(row_keep), set(col_keep)
     dropped = DropReport(
-        zero_sales_regions=tuple(
-            c for i, c in enumerate(sales.regions.codes) if i not in rset
-        ),
-        zero_sales_sectors=tuple(
-            c for j, c in enumerate(sales.sectors.codes) if j not in cset
-        ),
+        zero_sales_regions=sales.regions.codes_outside(row_keep),
+        zero_sales_sectors=sales.sectors.codes_outside(col_keep),
     )
     w = w[np.ix_(row_keep, col_keep)]
     regions = sales.regions.subset(row_keep)
@@ -117,16 +116,11 @@ def binarize(rca: RcaMatrix, threshold: float = 1.0) -> BinaryBipartiteMatrix:
             "degenerate matrix: no rows or columns survive binarization "
             f"at threshold {threshold}"
         )
-    rset, cset = set(row_keep), set(col_keep)
     dropped = DropReport(
         zero_sales_regions=rca.dropped.zero_sales_regions,
         zero_sales_sectors=rca.dropped.zero_sales_sectors,
-        empty_regions=tuple(
-            c for i, c in enumerate(rca.regions.codes) if i not in rset
-        ),
-        empty_sectors=tuple(
-            c for j, c in enumerate(rca.sectors.codes) if j not in cset
-        ),
+        empty_regions=rca.regions.codes_outside(row_keep),
+        empty_sectors=rca.sectors.codes_outside(col_keep),
     )
     m = m[np.ix_(row_keep, col_keep)]
     return BinaryBipartiteMatrix(

@@ -9,16 +9,18 @@ import sys
 import textwrap
 from pathlib import Path
 
+# ecx first, so that it loads numpy and every in-process test runs BLAS
+# on one thread, as the ecx command does
+import ecx
 import numpy as np
 from hypothesis import strategies as st
 
-import ecx
 from ecx import BinaryBipartiteMatrix, RegionCatalog, SectorCatalog
 
 
 # codes with csv's special characters; the catalogs strip codes at the
-# ends and refuse one holding "\r", which csv.writer leaves unquoted, or
-# a lone surrogate, which UTF-8 cannot encode
+# ends and refuse one left empty, one holding "\r", which csv.writer
+# leaves unquoted, or a lone surrogate, which UTF-8 cannot encode
 CATALOG_CODES = st.lists(
     st.text(st.one_of(st.characters(), st.sampled_from(',"\n\r\t ')),
             max_size=3),

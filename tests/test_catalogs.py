@@ -69,6 +69,15 @@ def test_code_with_lone_surrogate_rejected():
                                  ("\udfff", "B", "Goods", 0)])
 
 
+def test_empty_code_rejected():
+    # a firm row with a blank code field would land on such an entry
+    src = io.StringIO("code,name,super_region\nAA,A,Kanto\n,Nameless,Kanto\n")
+    with pytest.raises(InputDataError, match="region code '' is empty"):
+        RegionCatalog.from_csv(src)
+    with pytest.raises(InputDataError, match="sector code '' is empty"):
+        SectorCatalog.from_rows([(" ", "A", "Goods", 0)])
+
+
 def test_unknown_super_region_rejected():
     with pytest.raises(InputDataError, match="super_region"):
         RegionCatalog.from_rows([("AA", "A", "Atlantis")])
@@ -78,6 +87,9 @@ def test_excluded_flag_must_be_binary():
     src = io.StringIO("code,name,division,excluded\n01,A,Goods,2\n")
     with pytest.raises(InputDataError, match="excluded"):
         SectorCatalog.from_csv(src)
+    with pytest.raises(InputDataError,
+                       match="excluded must be 0 or 1, got '2' for '01'"):
+        SectorCatalog.from_rows([("01", "A", "Goods", 2)])
 
 
 def test_region_csv_header_checked():

@@ -150,16 +150,22 @@ def test_residual_check_refuses_an_inexact_vector(monkeypatch):
 
 
 def test_indices_identical_across_blas_thread_counts():
+    # 400x800 is the smallest size found whose bytes differ between
+    # OpenBLAS thread counts when numpy picks its own; ecx comes first,
+    # so that it loads numpy itself
     script = """
         import json
+        import ecx
         import numpy as np
         from conftest import binary
-        from ecx import compute_indices
-        m = np.random.default_rng(3).random((200, 400)) < 0.35
-        res = compute_indices(binary(m))
+        m = binary(np.random.default_rng(3).random((400, 800)) < 0.35)
+        res = ecx.compute_indices(m)
+        fit = ecx.fitness_complexity(m)
         print(json.dumps([res.eci.tobytes().hex(), res.pci.tobytes().hex(),
                           res.region_pair.eigenvalue.hex(),
-                          res.sector_pair.eigenvalue.hex()]))
+                          res.sector_pair.eigenvalue.hex(),
+                          fit.fitness.tobytes().hex(),
+                          fit.complexity.tobytes().hex()]))
     """
     outputs = []
     for threads in ("1", "2"):
@@ -167,6 +173,21 @@ def test_indices_identical_across_blas_thread_counts():
         assert proc.returncode == 0, proc.stderr
         outputs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_import_leaves_the_environment_as_it_was(threads):
+    script = """
+        import os, sys
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+        if sys.argv[1] != "None":
+            os.environ["OPENBLAS_NUM_THREADS"] = sys.argv[1]
+        before = dict(os.environ)
+        import ecx
+        assert dict(os.environ) == before, os.environ
+    """
+    proc = run_python(script, threads)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_build_transition_rejects_unknown_kind():

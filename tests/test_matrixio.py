@@ -67,6 +67,8 @@ def test_ordered_matrix_pbm_bytes(tmp_path):
 
 def _defect(code):
     """Why a catalog refuses ``code``, or None."""
+    if not code:
+        return "empty"
     if "\r" in code:
         return "carriage return"
     try:
@@ -81,6 +83,7 @@ def _defect(code):
 @example(["a\rb", "c"], ["x"], [1.0] * 16)
 @example(["a"], ["x", "\ud800"], [1.0] * 16)
 @example(["\udfff\r"], ["\ud800"], [1.0] * 16)
+@example(["a"], [" "], [1.0] * 16)
 @settings(max_examples=150, deadline=None)
 def test_matrix_csv_round_trips_catalog_codes(tmp_path_factory, rcodes,
                                               scodes, cells):
@@ -145,7 +148,8 @@ def _read_both(path):
 @settings(max_examples=150, deadline=None)
 def test_read_matches_reference_on_written_files(tmp_path_factory, rcodes,
                                                  scodes, cells, binary):
-    assume(not any(_defect(c) for c in rcodes + scodes))
+    # a matrix CSV carries an empty code, which only a catalog refuses
+    assume(all(_defect(c) in (None, "empty") for c in rcodes + scodes))
     values = np.array(cells[: len(rcodes) * len(scodes)]).reshape(
         len(rcodes), len(scodes))
     if binary:

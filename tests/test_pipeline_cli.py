@@ -141,6 +141,36 @@ def test_non_binary_m_csv_exits_2_with_one_line(tmp_path, cell):
         "ecx: error: stage 'eci': m.csv must contain only 0/1 entries\n")
 
 
+@pytest.mark.parametrize("kind,line,code", [("sector", 0, "S01"),
+                                            ("region", 1, "R01")])
+def test_matrix_code_outside_the_catalog_exits_2(tmp_path, capsys, kind,
+                                                 line, code):
+    out = tmp_path / "out"
+    assert main(["ingest", *run_args(synth_inputs(tmp_path / "in"), out)]) == 0
+    assert main(["matrix", "--out", str(out)]) == 0
+    lines = (out / "m.csv").read_text().splitlines(True)
+    assert f"{code}," in lines[line]
+    lines[line] = lines[line].replace(f"{code},", "XX,", 1)
+    (out / "m.csv").write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["eci", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"ecx: error: stage 'eci': {kind} 'XX' not in catalog\n")
+
+
+def test_blank_catalog_code_exits_2(tmp_path, capsys):
+    """A blank catalog code is refused, so a firm row whose code field
+    is blank cannot land on it."""
+    src = synth_inputs(tmp_path / "in")
+    with open(src / "regions.csv", "a") as fh:
+        fh.write(",Nameless,Kanto\n")
+    with open(src / "firms.csv", "a") as fh:
+        fh.write("F1,,S01,100,3\n")
+    capsys.readouterr()
+    assert main(["ingest", *run_args(src, tmp_path / "out")]) == 2
+    assert "region code '' is empty" in capsys.readouterr().err
+
+
 def test_missing_firms_file_exits_2(tmp_path, capsys):
     src = synth_inputs(tmp_path / "in")
     args = run_args(src, tmp_path / "out")

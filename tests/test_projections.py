@@ -11,7 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import CATALOG_CODES, binary, make_region_catalog, run_python
+from conftest import (CATALOG_CODES, binary, make_region_catalog,
+                      make_sector_catalog, run_python)
 from ecx import (DisconnectedGraphError, InputDataError, RegionCatalog,
                  export_tree, max_similarity_tree, project, similarity)
 from ecx.matrixio import fmt_float
@@ -218,18 +219,22 @@ def test_tree_matches_reference_200_nodes():
 
 def test_export_dot_layout():
     tree = max_similarity_tree(_theta(FOUR_NODE, ["R01", "R02", "R03", "R04"]))
-    data = export_tree(tree, make_region_catalog(4), "super_region", "dot")
+    data = export_tree(tree, make_region_catalog(4), "dot")
     text = data.decode("utf-8")
     assert text.startswith("graph tree {")
     assert '"R01" [label="Region 01", group="Kanto"];' in text
     assert '"R01" -- "R02" [weight=0.9];' in text
-    assert export_tree(tree, make_region_catalog(4), "super_region",
-                       "dot") == data   # byte-stable
+    # byte-stable
+    assert export_tree(tree, make_region_catalog(4), "dot") == data
+    # a sector node's group is its division
+    tree = max_similarity_tree(_theta(FOUR_NODE, ["S01", "S02", "S03", "S04"]))
+    assert b'"S01" [label="Sector 01", group="Goods"];' in export_tree(
+        tree, make_sector_catalog(4))
 
 
 def test_export_graphml_is_well_formed():
     tree = max_similarity_tree(_theta(FOUR_NODE, ["R01", "R02", "R03", "R04"]))
-    data = export_tree(tree, make_region_catalog(4), "super_region", "graphml")
+    data = export_tree(tree, make_region_catalog(4), "graphml")
     root = ET.fromstring(data.decode("utf-8"))
     ns = "{http://graphml.graphdrawing.org/xmlns}"
     nodes = root.findall(f"{ns}graph/{ns}node")
@@ -249,7 +254,7 @@ def test_graphml_writer_is_imported_on_first_use():
 
 def test_export_csv_edge_list():
     tree = max_similarity_tree(_theta(FOUR_NODE, ["R01", "R02", "R03", "R04"]))
-    data = export_tree(tree, make_region_catalog(4), "super_region", "csv")
+    data = export_tree(tree, make_region_catalog(4), "csv")
     lines = data.decode("utf-8").splitlines()
     assert lines[0] == "node_a,node_b,similarity"
     assert lines[1] == "R01,R02,0.9"
@@ -275,11 +280,11 @@ def test_tree_exports_read_back_any_catalog_code(codes):
     tree = max_similarity_tree(_theta(values, catalog.codes))
     edges = [(a, b, fmt_float(wt)) for a, b, wt in tree.edges]
 
-    data = export_tree(tree, catalog, "super_region", "csv").decode("utf-8")
+    data = export_tree(tree, catalog, "csv").decode("utf-8")
     assert list(csv.reader(io.StringIO(data, newline=""))) == [
         ["node_a", "node_b", "similarity"], *map(list, edges)]
 
-    data = export_tree(tree, catalog, "super_region", "dot").decode("utf-8")
+    data = export_tree(tree, catalog, "dot").decode("utf-8")
     assert DOT_STRING.sub("Q", data) == "".join([
         "graph tree {\n", "  Q [label=Q, group=Q];\n" * n,
         *(f"  Q -- Q [weight={wt}];\n" for _, _, wt in edges), "}\n"])
@@ -294,8 +299,6 @@ def test_tree_exports_read_back_any_catalog_code(codes):
 def test_export_rejects_unknown_pieces():
     tree = max_similarity_tree(_theta(FOUR_NODE, ["R01", "R02", "R03", "R04"]))
     with pytest.raises(InputDataError, match="unknown format"):
-        export_tree(tree, make_region_catalog(4), "super_region", "svg")
-    with pytest.raises(InputDataError, match="grouping"):
-        export_tree(tree, make_region_catalog(4), "postcode", "dot")
+        export_tree(tree, make_region_catalog(4), "svg")
     with pytest.raises(InputDataError, match="missing group"):
-        export_tree(tree, make_region_catalog(2), "super_region", "dot")
+        export_tree(tree, make_region_catalog(2), "dot")

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import binary, make_region_catalog, make_sector_catalog
-from ecx import (DegenerateMatrixError, InputDataError, SalesMatrix, binarize,
-                 compute_rca, degree_profile)
+from ecx import (BinaryBipartiteMatrix, DegenerateMatrixError, InputDataError,
+                 RcaMatrix, SalesMatrix, binarize, compute_rca, degree_profile)
 
 
 def sales_matrix(values, p=None, s=None):
@@ -104,6 +104,14 @@ def test_degree_profile_requires_nondegenerate():
                                   make_region_catalog(2),
                                   make_sector_catalog(2))
         degree_profile(m)
+
+
+@pytest.mark.parametrize("cls", [SalesMatrix, RcaMatrix,
+                                 BinaryBipartiteMatrix])
+def test_matrix_refuses_catalogs_of_another_shape(cls):
+    with pytest.raises(InputDataError, match="shape does not match catalogs"):
+        cls(np.array([[1, 1], [1, 0]]), make_region_catalog(3),
+            make_sector_catalog(3))
 
 
 positive_sales = arrays(
