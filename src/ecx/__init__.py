@@ -47,7 +47,7 @@ from .rca import (BinaryBipartiteMatrix, DegreeProfile, DropReport, RcaMatrix,
                   binarize, compute_rca, degree_profile)
 from .stats import (Correlation, FitResult, correlation_p_value,
                     fit_exponential, fit_power, pearson, quadrants,
-                    rank_agreement, region_averages, residual_ranking)
+                    region_averages)
 from .synth import SyntheticEconomy, generate_synthetic, nested_matrix, \
     write_synthetic
 
@@ -69,6 +69,6 @@ __all__ = [
     "fit_exponential", "fit_power", "fitness_complexity",
     "generate_synthetic", "max_similarity_tree", "nested_matrix",
     "order_by_rank", "parse_firms", "parse_macro", "pearson", "project",
-    "quadrants", "rank_agreement", "region_averages", "residual_ranking",
-    "run_pipeline", "second_eigenpair", "similarity", "write_synthetic",
+    "quadrants", "region_averages", "run_pipeline", "second_eigenpair",
+    "similarity", "write_synthetic",
 ]

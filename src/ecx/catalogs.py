@@ -12,6 +12,7 @@ together with published rank tables used by the test-suite.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -74,27 +75,42 @@ class Sector:
     excluded: bool
 
 
-def _open_text(source: PathOrStream) -> TextIO:
-    if hasattr(source, "read"):
-        return source  # type: ignore[return-value]
-    return open(source, "r", encoding="utf-8", newline="")
+@contextmanager
+def open_table(source: PathOrStream) -> Iterator[TextIO]:
+    """``source`` as a text stream: a path is opened as UTF-8 and closed
+    on exit, a stream is used as it is.  A byte that is not UTF-8 is
+    refused with ``InputDataError`` naming the file."""
+    stream = source
+    if not hasattr(source, "read"):
+        stream = open(source, "r", encoding="utf-8", newline="")
+    try:
+        yield stream
+    except UnicodeDecodeError as exc:
+        raise InputDataError(
+            f"{getattr(stream, 'name', 'input stream')}: not UTF-8 text: "
+            f"byte {exc.object[exc.start]:#04x}: {exc.reason}") from None
+    finally:
+        if stream is not source:
+            stream.close()
 
 
 def _read_rows(source: PathOrStream, required: Sequence[str], what: str):
-    stream = _open_text(source)
-    close = stream is not source
-    try:
-        reader = csv.DictReader(stream)
-        header = reader.fieldnames or []
+    """The rows of a catalog as dicts keyed by its header; a row with
+    fewer fields than the header is refused."""
+    with open_table(source) as stream:
+        reader = csv.reader(stream)
+        header = next(reader, [])
         missing = [c for c in required if c not in header]
         if missing:
             raise InputDataError(
                 f"{what}: missing required column(s) {', '.join(missing)}"
             )
-        yield from reader
-    finally:
-        if close:
-            stream.close()
+        for row in filter(None, reader):
+            if len(row) < len(header):
+                raise InputDataError(
+                    f"{what}: line {reader.line_num} has {len(row)} "
+                    f"fields, the header has {len(header)}")
+            yield dict(zip(header, row))
 
 
 def _check_code(kind: str, code: str) -> None:
@@ -279,7 +295,3 @@ def bundled_fixture_dir() -> Path:
     """Directory of the bundled nested 47x91 synthetic economy."""
     return bundled_path("fixture_nested47x91")
 
-
-def read_string_table(source: PathOrStream, required: Sequence[str], what: str):
-    """Read a delimited table as a list of dicts, checking the header."""
-    return list(_read_rows(source, required, what))

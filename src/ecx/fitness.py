@@ -57,8 +57,6 @@ class FitnessResult:
 
 @dataclass(frozen=True)
 class OrderedMatrixView:
-    permutation_rows: Tuple[int, ...]   # source row index per output row
-    permutation_cols: Tuple[int, ...]
     matrix: np.ndarray
     row_codes: tuple
     col_codes: tuple
@@ -74,15 +72,13 @@ def _step(values: np.ndarray, f: np.ndarray,
 
 
 def fitness_complexity(m: BinaryBipartiteMatrix, tol: float = DEFAULT_TOL,
-                       max_iter: int = DEFAULT_MAX_ITER, *,
-                       f0: np.ndarray = None,
-                       q0: np.ndarray = None) -> FitnessResult:
-    """Run the coupled iteration from F = Q = 1 (or given start vectors).
+                       max_iter: int = DEFAULT_MAX_ITER) -> FitnessResult:
+    """Run the coupled iteration from F = Q = 1.
 
     Non-convergence is a legitimate, reported outcome — the history,
-    the step deltas and the final values are always returned.
-    ``f0``/``q0`` exist so tests can assert scale invariance of the
-    start; production runs use the all-ones default.
+    the step deltas and the final values are always returned.  Final
+    fitness values that all lie within ``tol`` of each other are
+    reported as the constant fixed point, all ones.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InputDataError(f"tol must be finite and positive, got {tol}")
@@ -90,12 +86,8 @@ def fitness_complexity(m: BinaryBipartiteMatrix, tol: float = DEFAULT_TOL,
         raise InputDataError(f"max_iter must be >= 1, got {max_iter}")
     values = m.values.astype(float)
     p, s = values.shape
-    f = np.ones(p) if f0 is None else np.asarray(f0, dtype=float).copy()
-    q = np.ones(s) if q0 is None else np.asarray(q0, dtype=float).copy()
-    if f.shape != (p,) or q.shape != (s,):
-        raise InputDataError("start vectors do not match the matrix shape")
-    if np.any(f <= 0) or np.any(q <= 0):
-        raise InputDataError("start vectors must be positive")
+    f = np.ones(p)
+    q = np.ones(s)
 
     history: List[np.ndarray] = [f.copy()]
     deltas: List[float] = []
@@ -113,6 +105,10 @@ def fitness_complexity(m: BinaryBipartiteMatrix, tol: float = DEFAULT_TOL,
         if delta < tol:
             stopped = True
             break
+    if np.ptp(f) < tol:
+        # equal to the iteration's resolution: the constant fixed point,
+        # whose rounding residue would otherwise order and correlate
+        f = np.ones(p)
     converged = stopped and float(f.min()) > COLLAPSE_FLOOR
     return FitnessResult(
         fitness=f, complexity=q, iterations=iterations, converged=converged,
@@ -154,8 +150,6 @@ def order_by_rank(m: BinaryBipartiteMatrix,
     on_diag = sum(int(matrix[i, anti_diagonal_column(i, p, s)]) for i in range(p))
     clearance = on_diag / p - matrix.sum() / (p * s)
     return OrderedMatrixView(
-        permutation_rows=rows,
-        permutation_cols=cols,
         matrix=matrix,
         row_codes=tuple(rcodes[i] for i in rows),
         col_codes=tuple(ccodes[j] for j in cols),

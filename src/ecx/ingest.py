@@ -52,7 +52,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .catalogs import PathOrStream, RegionCatalog, SectorCatalog, _open_text
+from .catalogs import PathOrStream, RegionCatalog, SectorCatalog, open_table
 from .errors import InputDataError
 
 FIRMS_HEADER = ("firm_id", "region_code", "sector_code", "annual_sales", "employees")
@@ -151,14 +151,6 @@ class MacroIndicators:
             return getattr(self, name)
         except AttributeError:
             raise InputDataError(f"unknown macro indicator {name!r}") from None
-
-
-def _split_csv_line(line: str) -> List[str]:
-    # plain split is much faster than csv.reader on million-row files;
-    # fall back to csv only for lines with quoted fields.
-    if '"' in line:
-        return next(csv.reader([line]))
-    return line.rstrip("\r\n").split(",")
 
 
 def _quoted_record(lineno: int, line: str, lines,
@@ -539,13 +531,11 @@ def parse_firms(source: PathOrStream, regions: RegionCatalog,
     CPU or a split that fails is parsed in one range, in this process,
     and gives the same result or error.
     """
-    stream = _open_text(source)
-    close = stream is not source
-    try:
+    with open_table(source) as stream:
         header_line = stream.readline()
         if not header_line:
             raise InputDataError("firms table: empty file")
-        header = tuple(h.strip() for h in _split_csv_line(header_line))
+        header = tuple(h.strip() for h in next(csv.reader([header_line])))
         if header != FIRMS_HEADER:
             raise InputDataError(
                 "firms table: expected header "
@@ -553,7 +543,7 @@ def parse_firms(source: PathOrStream, regions: RegionCatalog,
             )
         region_id, sector_id = regions.index, sectors.index
         parts = None
-        if close:
+        if stream is not source:
             start = len(header_line.encode("utf-8"))
             bounds = _range_bounds(source, start,
                                    os.fstat(stream.fileno()).st_size)
@@ -562,9 +552,6 @@ def parse_firms(source: PathOrStream, regions: RegionCatalog,
         if parts is None:
             parts = [_parse_range(stream, region_id, sector_id)]
         return _merge(parts, regions, sectors)
-    finally:
-        if close:
-            stream.close()
 
 
 def aggregate_sales(records: FirmTable, regions: RegionCatalog,
@@ -606,9 +593,7 @@ def aggregate_sales(records: FirmTable, regions: RegionCatalog,
 
 def parse_macro(source: PathOrStream, regions: RegionCatalog) -> MacroIndicators:
     """Parse the macro-indicator table; absent regions are NaN."""
-    stream = _open_text(source)
-    close = stream is not source
-    try:
+    with open_table(source) as stream:
         reader = csv.DictReader(stream)
         header = tuple(reader.fieldnames or ())
         missing = [c for c in MACRO_HEADER if c not in header]
@@ -646,6 +631,3 @@ def parse_macro(source: PathOrStream, regions: RegionCatalog) -> MacroIndicators
             rid = regions[code].region_id
             pop[rid], gp[rid], inc[rid] = p, g, i
         return MacroIndicators(regions, pop, gp, inc, gp / pop, rejections)
-    finally:
-        if close:
-            stream.close()

@@ -210,5 +210,5 @@ def write_json(path, obj) -> None:
 def read_json(path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputDataError(f"{path}: {exc}") from None

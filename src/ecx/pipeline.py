@@ -37,7 +37,7 @@ import numpy as np
 
 from . import eci as eci_mod
 from . import fitness as fit_mod
-from .catalogs import RegionCatalog, SectorCatalog
+from .catalogs import RegionCatalog, SectorCatalog, open_table
 from .errors import EcxError, InputDataError
 from .ingest import (MACRO_HEADER, MacroIndicators, aggregate_sales,
                      parse_firms, parse_macro)
@@ -135,7 +135,7 @@ def _load_binary(out_dir) -> BinaryBipartiteMatrix:
 
 def _read_indexed(path) -> Dict[str, float]:
     values: Dict[str, float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_table(path) as fh:
         reader = csv.reader(fh)
         next(reader, None)
         for row in reader:
@@ -365,14 +365,14 @@ def stage_correlate(cfg: RunConfig, indicator: Optional[str] = None,
             })
             model = fit or ("exp" if index == "eci" else "power")
             keep = np.isfinite(x) & np.isfinite(y)
+            kept_codes = [c for c, k in zip(codes, keep) if k]
             fit_fn = fit_exponential if model == "exp" else fit_power
-            result = fit_fn(x[keep], y[keep])
+            result = fit_fn(x[keep], y[keep], labels=kept_codes)
             fits[f"{index}_vs_{column}"] = {
                 "model": result.model, "a": result.a, "b": result.b,
                 "rmse_log": result.rmse_log, "n": int(keep.sum()),
             }
             if fit is not None:
-                kept_codes = [c for c, k in zip(codes, keep) if k]
                 expected = result.expected(x[keep])
                 fname = f"fit_{index}_{name}.csv"
                 write_csv(out / fname,
@@ -406,15 +406,15 @@ def write_summary_tables(cfg: RunConfig,
     macro = _load_macro(out, m.regions)
     table = _read_indexed(_need(out, "eci.csv", "eci"))
     codes = tuple(table)
-    summary = region_averages(np.array([table[c] for c in codes]), codes,
-                              macro, m.regions, highlight=highlight)
+    groups = region_averages(np.array([table[c] for c in codes]), codes,
+                             macro, m.regions, highlight=highlight)
     write_csv(out / "regions.csv",
               ("group", "count", "mean_eci", "mean_gpp_per_capita",
                "mean_income_per_person"),
               ((g.name, g.count, fmt_float(g.mean_eci),
                 fmt_float(g.mean_gpp_per_capita),
                 fmt_float(g.mean_income_per_person))
-               for g in summary.groups))
+               for g in groups))
     return ["quadrants.csv", "regions.csv"]
 
 

@@ -77,7 +77,6 @@ class DegreeProfile:
     k_p0: np.ndarray            # diversification (row sums)
     k_s0: np.ndarray            # ubiquity (column sums)
     k_p1: np.ndarray            # mean ubiquity of a region's sectors
-    k_s1: np.ndarray            # mean diversification of a sector's regions
     mean_k_p0: float
     mean_k_p1: float
 
@@ -135,8 +134,7 @@ def degree_profile(m: BinaryBipartiteMatrix) -> DegreeProfile:
     k_p0 = values.sum(axis=1)
     k_s0 = values.sum(axis=0)
     k_p1 = (values @ k_s0) / k_p0
-    k_s1 = (values.T @ k_p0) / k_s0
     return DegreeProfile(
-        k_p0=k_p0, k_s0=k_s0, k_p1=k_p1, k_s1=k_s1,
+        k_p0=k_p0, k_s0=k_s0, k_p1=k_p1,
         mean_k_p0=float(k_p0.mean()), mean_k_p1=float(k_p1.mean()),
     )

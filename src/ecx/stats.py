@@ -1,4 +1,4 @@
-"""Correlations, log-space fits, quadrants, group averages, rank agreement.
+"""Correlations, log-space fits, quadrants, group averages, rankings.
 
 Pearson p-values are two-sided, from the exact t-transform
 t = r·sqrt(n-2)/sqrt(1-r²) evaluated through the regularized incomplete
@@ -34,10 +34,6 @@ class Correlation:
     p_value: float
     n: int
 
-    @property
-    def df(self) -> int:
-        return self.n - 2
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -58,8 +54,6 @@ class FitResult:
 class QuadrantClassification:
     codes: tuple
     quadrants: tuple             # "Q1".."Q4" per region
-    mean_k_p0: float
-    mean_k_p1: float
 
 
 QUADRANT_NAMES = {
@@ -77,17 +71,6 @@ class GroupStats:
     mean_eci: float
     mean_gpp_per_capita: float
     mean_income_per_person: float
-
-
-@dataclass(frozen=True)
-class RegionSummary:
-    groups: Tuple[GroupStats, ...]
-    gpp_correlation: Optional[Correlation]
-    income_correlation: Optional[Correlation]
-    highlight: Optional[str] = None
-    # the highlighted region's home group recomputed without it, for
-    # comparison with the primary (all-members) average
-    home_group_excluding: Optional[GroupStats] = None
 
 
 def _paired(x, y) -> Tuple[np.ndarray, np.ndarray]:
@@ -210,14 +193,6 @@ def fit_power(x, y, labels=None) -> FitResult:
                      float(np.sqrt(np.mean(residuals ** 2))))
 
 
-def residual_ranking(fit: FitResult, labels) -> List[Tuple[str, float]]:
-    """Labels ordered by ascending residual (most below the line first)."""
-    if len(labels) != fit.residuals.size:
-        raise InputDataError("label count does not match residuals")
-    return sorted(zip(labels, map(float, fit.residuals)),
-                  key=lambda t: (t[1], t[0]))
-
-
 def quadrants(profile: DegreeProfile, codes) -> QuadrantClassification:
     """Classify regions by (k_p0, k_p1) deviations from the means.
 
@@ -233,8 +208,7 @@ def quadrants(profile: DegreeProfile, codes) -> QuadrantClassification:
             out.append("Q1" if high_ubi else "Q4")
         else:
             out.append("Q2" if high_ubi else "Q3")
-    return QuadrantClassification(tuple(codes), tuple(out),
-                                  profile.mean_k_p0, profile.mean_k_p1)
+    return QuadrantClassification(tuple(codes), tuple(out))
 
 
 def _group_mean(values: np.ndarray, idx: List[int]) -> float:
@@ -245,15 +219,14 @@ def _group_mean(values: np.ndarray, idx: List[int]) -> float:
 
 def region_averages(eci: np.ndarray, eci_codes, macro: MacroIndicators,
                     catalog: RegionCatalog,
-                    highlight: Optional[str] = None) -> RegionSummary:
+                    highlight: Optional[str] = None
+                    ) -> Tuple[GroupStats, ...]:
     """Per-super-region means of ECI and the macro indicators.
 
     Group means run over all member regions ("the average is taken over
     all the prefectures of a region"); if ``highlight`` names a region
-    it additionally becomes its own group, and its home group's mean
-    without it is reported for comparison.  When at least 3 groups have
-    complete data, the correlation of mean ECI against each macro mean
-    is attached.
+    it additionally becomes its own group, after the others; its home
+    group still averages over all members, the highlighted one included.
     """
     eci_by_code = dict(zip(eci_codes, map(float, eci)))
     members: Dict[str, List[str]] = {}
@@ -273,52 +246,11 @@ def region_averages(eci: np.ndarray, eci_codes, macro: MacroIndicators,
         )
 
     groups = [stats_for(name, codes) for name, codes in sorted(members.items())]
-    home_excl = None
     if highlight is not None:
         if highlight not in eci_by_code:
             raise InputDataError(f"highlight region {highlight!r} not present")
-        home = catalog[highlight].super_region
         groups.append(stats_for(catalog[highlight].name, [highlight]))
-        rest = [c for c in members[home] if c != highlight]
-        if rest:
-            home_excl = stats_for(home, rest)
-
-    def corr(attr: str) -> Optional[Correlation]:
-        xs = [g.mean_eci for g in groups]
-        ys = [getattr(g, attr) for g in groups]
-        try:
-            return pearson(xs, ys)
-        except InputDataError:
-            return None
-
-    return RegionSummary(
-        groups=tuple(groups),
-        gpp_correlation=corr("mean_gpp_per_capita"),
-        income_correlation=corr("mean_income_per_person"),
-        highlight=highlight,
-        home_group_excluding=home_excl,
-    )
-
-
-def rank_agreement(ranking_a: Dict[str, int], ranking_b: Dict[str, int]):
-    """Kendall's tau-b plus a merged (label, rank_a, rank_b) table."""
-    if set(ranking_a) != set(ranking_b):
-        only_a = sorted(set(ranking_a) - set(ranking_b))[:5]
-        only_b = sorted(set(ranking_b) - set(ranking_a))[:5]
-        raise InputDataError(
-            f"label mismatch between rankings (a-only {only_a}, b-only {only_b})"
-        )
-    labels = sorted(ranking_a, key=lambda c: (ranking_a[c], c))
-    ra = np.array([ranking_a[c] for c in labels])
-    rb = np.array([ranking_b[c] for c in labels])
-    # tau-b = sum sa·sb / sqrt(sum sa² · sum sb²) over all ordered pairs,
-    # sa = sign(ra_i - ra_j): a pair tied in a adds nothing to sum sa²
-    sa = np.sign(np.subtract.outer(ra, ra))
-    sb = np.sign(np.subtract.outer(rb, rb))
-    norm = float(np.sum(sa * sa)) * float(np.sum(sb * sb))
-    tau = float(np.sum(sa * sb)) / math.sqrt(norm) if norm else math.nan
-    table = [(c, ranking_a[c], ranking_b[c]) for c in labels]
-    return tau, table
+    return tuple(groups)
 
 
 def order_of(values: np.ndarray, codes) -> Tuple[int, ...]:

@@ -1,8 +1,9 @@
-"""Shared helpers for building small test matrices and catalogs, and for
-running a script in a fresh interpreter."""
+"""Shared helpers for building small test matrices and catalogs, reading
+a CSV table, and running a script in a fresh interpreter."""
 
 from __future__ import annotations
 
+import csv
 import os
 import subprocess
 import sys
@@ -70,6 +71,12 @@ def fat_nested(n: int) -> np.ndarray:
     for i in range(n):
         m[i, : min(n, n - i + 1)] = 1
     return m
+
+
+def read_table(path) -> list:
+    """Rows of a CSV file with a header, as dicts."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def run_python(script: str, *args, **env) -> subprocess.CompletedProcess:

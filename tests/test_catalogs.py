@@ -4,10 +4,10 @@ import io
 
 import pytest
 
+from conftest import read_table
 from ecx import (DIVISIONS, SUPER_REGIONS, InputDataError, RegionCatalog,
                  SectorCatalog, bundled_path, bundled_regions,
                  bundled_sectors)
-from ecx.catalogs import read_string_table
 
 
 def test_bundled_regions_shape():
@@ -112,9 +112,7 @@ def test_subset_reindexes_densely():
 
 
 def test_region_ranking_table_is_a_double_permutation():
-    rows = read_string_table(bundled_path("region_rankings.csv"),
-                             ("region_code", "eci_rank", "fitness_rank"),
-                             "region_rankings.csv")
+    rows = read_table(bundled_path("region_rankings.csv"))
     assert len(rows) == 47
     codes = [r["region_code"] for r in rows]
     assert set(codes) <= set(bundled_regions().codes)
@@ -124,18 +122,15 @@ def test_region_ranking_table_is_a_double_permutation():
 
 
 def test_region_ranking_extremes():
-    rows = {r["region_code"]: r for r in read_string_table(
-        bundled_path("region_rankings.csv"),
-        ("region_code", "eci_rank", "fitness_rank"), "region_rankings.csv")}
+    rows = {r["region_code"]: r
+            for r in read_table(bundled_path("region_rankings.csv"))}
     assert rows["TK"]["eci_rank"] == "1" and rows["TK"]["fitness_rank"] == "1"
     assert rows["KC"]["eci_rank"] == "46" and rows["KC"]["fitness_rank"] == "46"
     assert rows["IW"]["eci_rank"] == "47" and rows["IW"]["fitness_rank"] == "47"
 
 
 def test_sector_ranking_table_well_formed():
-    rows = read_string_table(bundled_path("sector_rankings.csv"),
-                             ("sector_code", "pci_rank", "complexity_rank"),
-                             "sector_rankings.csv")
+    rows = read_table(bundled_path("sector_rankings.csv"))
     sectors = set(bundled_sectors().codes)
     seen = set()
     for r in rows:

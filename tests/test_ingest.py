@@ -572,6 +572,27 @@ def test_interrupted_split_parse_leaves_no_child(tmp_path, split,
     _no_child_left()
 
 
+@pytest.mark.parametrize("split_parse,row", [(False, 500), (True, 1000),
+                                             (True, 7990)],
+                         ids=["one-range", "split-first", "split-last"])
+def test_non_utf8_firm_table_is_refused_by_name(tmp_path, request,
+                                                split_parse, row):
+    """A byte that is not UTF-8 is refused by the file's name, whichever
+    range of a split parse meets it."""
+    returned = request.getfixturevalue("split") if split_parse else None
+    # past the 8 KB that reading the header decodes; a range is ~32 KB
+    rows = [f"F{k},R01,S01,1,1\n" for k in range(8000)]
+    rows[row] = "F\xe9,R01,S01,1,1\n"
+    path = tmp_path / "firms.csv"
+    path.write_bytes(HEADER.encode() + "".join(rows).encode("latin-1"))
+    with pytest.raises(InputDataError, match=re.escape(
+            f"{path}: not UTF-8 text: byte 0xe9")):
+        parse_firms(path, make_region_catalog(3), make_sector_catalog(3))
+    if split_parse:
+        assert returned == [None]       # refused again in one range
+        _no_child_left()
+
+
 def test_split_parse_imports_no_process_pool(tmp_path):
     """The split forks by itself: neither ``import ecx`` nor a split
     parse loads ``multiprocessing``."""

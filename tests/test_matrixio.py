@@ -56,8 +56,7 @@ def test_matrix_csv_bytes_match_csv_writer(tmp_path, values, binary):
 
 def test_ordered_matrix_pbm_bytes(tmp_path):
     matrix = np.array([[1, 1, 0], [1, 0, 0]], dtype=np.int64)
-    view = OrderedMatrixView((0, 1), (0, 1, 2), matrix, ("R1", "R2"),
-                             ("S1", "S2", "S3"), 0.0)
+    view = OrderedMatrixView(matrix, ("R1", "R2"), ("S1", "S2", "S3"), 0.0)
     write_ordered_matrix(tmp_path, view)
     assert (tmp_path / "ordered_matrix.pbm").read_bytes() == (
         b"P1\n3 2\n1 1 0\n1 0 0\n")
@@ -251,8 +250,7 @@ def test_binary_writer_refuses_other_cells(tmp_path, cell):
     with pytest.raises(InputDataError, match="only 0/1 entries"):
         write_matrix_csv(path, values, ("a", "b"), ("x", "y"), binary=True)
     assert not path.exists()
-    view = OrderedMatrixView((0, 1), (0, 1), values, ("a", "b"), ("x", "y"),
-                             0.0)
+    view = OrderedMatrixView(values, ("a", "b"), ("x", "y"), 0.0)
     with pytest.raises(InputDataError, match="only 0/1 entries"):
         write_ordered_matrix(tmp_path, view)
     assert os.listdir(tmp_path) == []

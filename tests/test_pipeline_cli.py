@@ -171,6 +171,70 @@ def test_blank_catalog_code_exits_2(tmp_path, capsys):
     assert "region code '' is empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,row,what", [
+    ("regions", "R13,Region 13", "regions catalog: line 14 has 2 fields, "
+     "the header has 3"),
+    ("sectors", "S19,Sector 19,Fisheries", "sectors catalog: line 20 has 3 "
+     "fields, the header has 4"),
+], ids=["regions", "sectors"])
+def test_short_catalog_row_exits_2(tmp_path, capsys, name, row, what):
+    src = synth_inputs(tmp_path / "in")
+    with open(src / f"{name}.csv", "a") as fh:
+        fh.write(row + "\n")
+    capsys.readouterr()
+    assert main(["ingest", *run_args(src, tmp_path / "out")]) == 2
+    assert what in capsys.readouterr().err
+
+
+def _spoil_utf8(path):
+    """Put a 0xE9 byte, which no UTF-8 text holds, into the last row."""
+    data = path.read_bytes()
+    cut = data.rindex(b"\n", 0, len(data) - 1) + 2
+    path.write_bytes(data[:cut] + b"\xe9" + data[cut:])
+
+
+@pytest.mark.parametrize("name", ["firms", "regions", "sectors", "macro"])
+def test_non_utf8_input_exits_2_naming_the_file(tmp_path, capsys, name):
+    src = synth_inputs(tmp_path / "in")
+    _spoil_utf8(src / f"{name}.csv")
+    capsys.readouterr()
+    assert main(["ingest", *run_args(src, tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{name}.csv: not UTF-8 text: byte 0xe9" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,stage,what", [
+    ("eci.csv", "correlate", "eci.csv: not UTF-8 text: byte 0xe9"),
+    ("mst_report.json", "report", "mst_report.json: 'utf-8' codec can't "
+     "decode byte 0xe9"),
+], ids=["index-table", "sidecar"])
+def test_non_utf8_output_exits_2_naming_the_file(tmp_path, capsys, name,
+                                                 stage, what):
+    src = synth_inputs(tmp_path / "in")
+    out = tmp_path / "out"
+    assert main(["run", *run_args(src, out)]) == 0
+    _spoil_utf8(out / name)
+    capsys.readouterr()
+    assert main([stage, "--out", str(out)]) == 2
+    assert what in capsys.readouterr().err
+
+
+def test_refused_fit_names_the_region(tmp_path, capsys):
+    """A region whose per-capita product is 0 cannot enter a log-space
+    fit; the refusal names it by code, not by its place in the fit."""
+    src = synth_inputs(tmp_path / "in")
+    macro = (src / "macro.csv").read_text().splitlines()
+    code, pop, _, income = macro[3].split(",")
+    assert code == "R03"
+    macro[3] = f"{code},{pop},0,{income}"
+    (src / "macro.csv").write_text("\n".join(macro) + "\n")
+    capsys.readouterr()
+    assert main(["run", *run_args(src, tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "exponential fit y values must be positive; offending: R03" in err
+
+
 def test_missing_firms_file_exits_2(tmp_path, capsys):
     src = synth_inputs(tmp_path / "in")
     args = run_args(src, tmp_path / "out")

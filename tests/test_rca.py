@@ -92,7 +92,6 @@ def test_degree_profile_nested_example():
     assert np.array_equal(prof.k_p0, [3, 2, 1])
     assert np.array_equal(prof.k_s0, [3, 2, 1])
     assert np.array_equal(prof.k_p1, [2.0, 2.5, 3.0])
-    assert np.array_equal(prof.k_s1, [2.0, 2.5, 3.0])
     assert prof.mean_k_p0 == 2.0
     assert prof.mean_k_p1 == pytest.approx(2.5)
 

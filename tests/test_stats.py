@@ -1,4 +1,4 @@
-"""Correlations, log-space fits, quadrants, group averages, rank tools."""
+"""Correlations, log-space fits, quadrants, group averages, rankings."""
 
 import math
 import sys
@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 from conftest import binary, make_region_catalog, run_python
 from ecx import (InputDataError, MacroIndicators, correlation_p_value,
                  degree_profile, fit_exponential, fit_power, pearson,
-                 quadrants, rank_agreement, region_averages,
-                 residual_ranking)
+                 quadrants, region_averages)
 from ecx.stats import MIN_P, QUADRANT_NAMES, rank_of
-from oracles import (exp_fit_oracle, kendall_tau_b, p_two_sided,
-                     power_fit_oracle)
+from oracles import exp_fit_oracle, p_two_sided, power_fit_oracle
 
 
 # --- p-values ---------------------------------------------------------
@@ -82,7 +80,7 @@ def test_pearson_perfect_line():
     c = pearson([1.0, 2.0, 3.0], [5.0, 7.0, 9.0])   # y = 2x + 3
     assert c.r == pytest.approx(1.0, abs=1e-15)
     assert c.p_value == MIN_P
-    assert c.n == 3 and c.df == 1
+    assert c.n == 3
 
 
 def test_pearson_sign():
@@ -187,39 +185,12 @@ def test_expected_curve_roundtrip():
     assert np.allclose(fit.expected(x), 5.0 * x**1.5, rtol=1e-10)
 
 
-# --- residual ranking -------------------------------------------------
-
-def test_residual_ranking_flags_point_below_line():
-    x = np.linspace(1.0, 5.0, 8)
-    y = 2.0 * np.exp(0.4 * x)
-    y[3] *= 0.5          # 50% below the perfect line
-    y[6] *= 2.0
-    labels = [f"R{i:02d}" for i in range(8)]
-    fit = fit_exponential(x, y, labels=labels)
-    ranking = residual_ranking(fit, labels)
-    assert ranking[0][0] == "R03"
-    assert ranking[0][1] < 0
-    assert ranking[-1][0] == "R06"
-
-    scaled = fit_exponential(x, 5.0 * y, labels=labels)
-    assert [c for c, _ in residual_ranking(scaled, labels)] == \
-        [c for c, _ in ranking]
-
-
-def test_residual_ranking_all_on_line():
-    x = np.array([1.0, 2.0, 3.0])
-    fit = fit_exponential(x, np.exp(x))
-    ranking = residual_ranking(fit, ["a", "b", "c"])
-    assert all(abs(res) < 1e-12 for _, res in ranking)
-    assert [c for c, _ in ranking] == ["a", "b", "c"]   # ties by label
-
-
 # --- quadrants --------------------------------------------------------
 
 def test_quadrants_nested_example():
     prof = degree_profile(binary([[1, 1, 1], [1, 1, 0], [1, 0, 0]]))
     q = quadrants(prof, ["p1", "p2", "p3"])
-    assert q.mean_k_p0 == 2.0 and q.mean_k_p1 == 2.5
+    assert prof.mean_k_p0 == 2.0 and prof.mean_k_p1 == 2.5
     got = dict(zip(q.codes, q.quadrants))
     assert QUADRANT_NAMES[got["p1"]] == "diversified-specialized"
     assert QUADRANT_NAMES[got["p3"]] == "concentrated-ubiquitous"
@@ -253,42 +224,36 @@ def test_region_averages_exact_means():
     eci = np.array([1.0, 2.0, 3.0, 4.0])
     macro = _macro(catalog, [10.0, 20.0, 30.0, 40.0],
                    [1.0, 1.0, 2.0, 2.0])
-    summary = region_averages(eci, catalog.codes, macro, catalog)
-    by_name = {g.name: g for g in summary.groups}
+    groups = region_averages(eci, catalog.codes, macro, catalog)
+    by_name = {g.name: g for g in groups}
     assert set(by_name) == {"Kanto", "Kansai"}
     assert by_name["Kanto"].count == 2           # R01, R03
     assert by_name["Kanto"].mean_eci == pytest.approx(2.0)
     assert by_name["Kanto"].mean_gpp_per_capita == pytest.approx(20.0)
     assert by_name["Kansai"].mean_eci == pytest.approx(3.0)
-    # two groups are too few for a correlation
-    assert summary.gpp_correlation is None
 
 
 def test_region_averages_highlight_is_inclusive():
     catalog = make_region_catalog(4)
     eci = np.array([1.0, 2.0, 3.0, 4.0])
     macro = _macro(catalog, [10.0, 20.0, 30.0, 40.0], [1.0, 1.0, 2.0, 2.0])
-    summary = region_averages(eci, catalog.codes, macro, catalog,
-                              highlight="R01")
-    names = [g.name for g in summary.groups]
+    groups = region_averages(eci, catalog.codes, macro, catalog,
+                             highlight="R01")
+    names = [g.name for g in groups]
     assert names == ["Kansai", "Kanto", "Region 01"]
-    by_name = {g.name: g for g in summary.groups}
+    by_name = {g.name: g for g in groups}
     # the home group still averages over ALL members, highlight included
     assert by_name["Kanto"].mean_eci == pytest.approx(2.0)
     assert by_name["Region 01"].count == 1
     assert by_name["Region 01"].mean_eci == pytest.approx(1.0)
-    # ... and the exclusive variant is reported alongside
-    assert summary.home_group_excluding.name == "Kanto"
-    assert summary.home_group_excluding.count == 1
-    assert summary.home_group_excluding.mean_eci == pytest.approx(3.0)
 
 
 def test_region_averages_single_region_group():
     catalog = make_region_catalog(1, groups=("Kanto",))
     macro = _macro(catalog, [10.0], [5.0])
-    summary = region_averages(np.array([0.7]), catalog.codes, macro, catalog)
-    assert summary.groups[0].mean_eci == pytest.approx(0.7)
-    assert summary.groups[0].count == 1
+    groups = region_averages(np.array([0.7]), catalog.codes, macro, catalog)
+    assert groups[0].mean_eci == pytest.approx(0.7)
+    assert groups[0].count == 1
 
 
 def test_region_averages_unknown_highlight():
@@ -299,45 +264,10 @@ def test_region_averages_unknown_highlight():
                         highlight="ZZ")
 
 
-# --- rank agreement ---------------------------------------------------
-
-def test_rank_agreement_identical():
-    a = {"x": 1, "y": 2, "z": 3}
-    tau, table = rank_agreement(a, dict(a))
-    assert tau == pytest.approx(1.0)
-    assert table == [("x", 1, 1), ("y", 2, 2), ("z", 3, 3)]
-
-
-def test_rank_agreement_reversed():
-    a = {"x": 1, "y": 2, "z": 3}
-    b = {"x": 3, "y": 2, "z": 1}
-    tau, _ = rank_agreement(a, b)
-    assert tau == pytest.approx(-1.0)
-
-
-def test_rank_agreement_label_mismatch():
-    with pytest.raises(InputDataError, match="label mismatch"):
-        rank_agreement({"x": 1, "y": 2}, {"x": 1, "q": 2})
-
-
-@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
-                min_size=1, max_size=30))
-@settings(max_examples=200, deadline=None)
-def test_rank_agreement_matches_pairwise_tau_b(pairs):
-    a = {f"L{i}": x for i, (x, _) in enumerate(pairs)}
-    b = {f"L{i}": y for i, (_, y) in enumerate(pairs)}
-    tau, table = rank_agreement(a, b)
-    want = kendall_tau_b([r[1] for r in table], [r[2] for r in table])
-    if math.isnan(want):                  # one side has no untied pair
-        assert math.isnan(tau)
-    else:
-        assert tau == pytest.approx(want, rel=0, abs=1e-15)
-
-
 def test_commands_run_with_scipy_blocked(tmp_path):
     """ecx needs numpy and the standard library alone: with every scipy
-    import refused, the staged chain, ``run_pipeline``, rank agreement
-    and ``--version`` all succeed, and ``import ecx.cli`` still leaves
+    import refused, the staged chain, ``run_pipeline`` and ``--version``
+    all succeed, and ``import ecx.cli`` still leaves
     ``importlib.metadata`` unloaded."""
     script = """
         import sys
@@ -360,9 +290,6 @@ def test_commands_run_with_scipy_blocked(tmp_path):
                       ["report", "--summary", "--highlight", "R01"]):
             assert ecx.cli.main([*stage, "--out", staged]) == 0, stage
         ecx.run_pipeline(ecx.RunConfig(sys.argv[1], *inputs))
-        tau, _ = ecx.rank_agreement({"a": 1, "b": 2, "c": 3},
-                                    {"a": 1, "b": 3, "c": 2})
-        assert abs(tau - 1 / 3) < 1e-15, tau
         try:
             ecx.cli.main(["--version"])
         except SystemExit as exc:
